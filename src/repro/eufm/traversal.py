@@ -159,33 +159,34 @@ def map_dag(root: Expr, leaf_fn: Callable[[Expr], Expr]) -> Expr:
 
 def _rebuild(node: Expr, rebuilt: Dict[Expr, Expr]) -> Expr:
     """Reconstruct ``node`` from already-rebuilt children."""
+    return _rebuild_from(node, [rebuilt[child] for child in node.children])
+
+
+def _rebuild_from(node: Expr, children: Sequence[Expr]) -> Expr:
+    """Reconstruct ``node`` over ``children`` (in ``node.children`` order)."""
     kind = node.kind
     if kind in ("tvar", "bvar", "const"):
         return node
     if kind == "uf":
-        return builder.uf(node.symbol, [rebuilt[a] for a in node.args])
+        return builder.uf(node.symbol, children)
     if kind == "up":
-        return builder.up(node.symbol, [rebuilt[a] for a in node.args])
+        return builder.up(node.symbol, children)
     if kind == "tite":
-        return builder.ite_term(
-            rebuilt[node.cond], rebuilt[node.then], rebuilt[node.els]
-        )
+        return builder.ite_term(*children)
     if kind == "fite":
-        return builder.ite_formula(
-            rebuilt[node.cond], rebuilt[node.then], rebuilt[node.els]
-        )
+        return builder.ite_formula(*children)
     if kind == "read":
-        return builder.read(rebuilt[node.mem], rebuilt[node.addr])
+        return builder.read(*children)
     if kind == "write":
-        return builder.write(rebuilt[node.mem], rebuilt[node.addr], rebuilt[node.data])
+        return builder.write(*children)
     if kind == "eq":
-        return builder.eq(rebuilt[node.lhs], rebuilt[node.rhs])
+        return builder.eq(*children)
     if kind == "not":
-        return builder.not_(rebuilt[node.arg])
+        return builder.not_(*children)
     if kind == "and":
-        return builder.and_(*[rebuilt[a] for a in node.args])
+        return builder.and_(*children)
     if kind == "or":
-        return builder.or_(*[rebuilt[a] for a in node.args])
+        return builder.or_(*children)
     raise TypeError(f"unknown node kind {kind!r}")
 
 

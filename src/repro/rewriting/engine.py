@@ -76,11 +76,11 @@ from ..processor.correctness import DiagramArtifacts, build_correctness_formula
 from ..processor.families import Family
 from ..processor.isa import ALU, MEM_ADDR, kind_precedence, writes_reg_file
 from .rules import (
+    CaseWalk,
     RuleViolation,
     contexts_disjoint,
     merge_contexts,
     prove_forwarding_matches_read,
-    reduce_under,
     substitute_opaque,
 )
 from .updates import ChainItem, UpdateChain, decompose_chain
@@ -128,6 +128,9 @@ class RewriteResult:
     #: how many times each rule fired, keyed by rule name — the tally
     #: journaled by campaigns and reported by ``repro lint``.
     rules_applied: Dict[str, int] = field(default_factory=dict)
+    #: distinct nodes walked by the per-entry data-equality case splits
+    #: (rule 3) — a deterministic measure of the rewriting work.
+    nodes_visited: int = 0
     rewrite_seconds: float = 0.0
 
     @property
@@ -151,6 +154,7 @@ def rewrite_diagram(
         span.add(
             "rewrite.updates_removed", result.rules_applied.get("remove", 0)
         )
+        span.add("rewrite.nodes_visited", result.nodes_visited)
         span.add("rewrite.passes", 1)
         span.set("rewrite.succeeded", 1.0 if result.succeeded else 0.0)
         span.set("rewrite.full_reduction",
@@ -213,9 +217,7 @@ def _rewrite_diagram(
     deadline = current_deadline()
     for entry in range(1, n + 1):
         deadline.check("rewrite")
-        failure = _process_entry(
-            entry, l, proc_vars, family, chains, result.rules_applied
-        )
+        failure = _process_entry(entry, l, proc_vars, family, chains, result)
         if failure is not None:
             result.failure = failure
             result.rewrite_seconds = time.perf_counter() - start
@@ -399,9 +401,10 @@ def _process_entry(
     proc_vars: Dict[str, Expr],
     family: Family,
     chains: List[_ChainState],
-    rules_applied: Optional[Dict[str, int]] = None,
+    result: RewriteResult,
 ) -> Optional[RewriteFailure]:
     """Rules 1–4 for one initial ROB entry across all chains."""
+    rules_applied = result.rules_applied
     valid_var = proc_vars[f"Valid{entry}"]
     vres_var = proc_vars[f"ValidResult{entry}"]
     dest_var = proc_vars[f"Dest{entry}"]
@@ -466,7 +469,7 @@ def _process_entry(
             valid_var,
             vres_var,
             result_var,
-            rules_applied,
+            result,
         )
         if failure is not None:
             return failure
@@ -492,21 +495,26 @@ def _prove_data_equal(
     valid_var: BoolVar,
     vres_var: BoolVar,
     result_var: TermVar,
-    rules_applied: Optional[Dict[str, int]] = None,
+    result: RewriteResult,
 ) -> Optional[RewriteFailure]:
     """Rule 3: the data written along both sides is equal under the
     merged context, by case split on ``ValidResult_i`` and (memory
-    families) the entry's instruction-kind variables."""
-    impl_data = substitute_opaque(impl_data, mapping)
+    families) the entry's instruction-kind variables.
+
+    Each side is walked once; every case rebuilds that walk.  The
+    implementation side crosses the proven-prefix seam (``mapping``) in
+    the same rebuild.
+    """
+    rules_applied = result.rules_applied
+    impl_walk = CaseWalk(impl_data, stop, seam=mapping)
+    spec_walk = CaseWalk(spec_data, stop)
+    result.nodes_visited += impl_walk.nodes_visited + spec_walk.nodes_visited
 
     # Case 1: ValidResult_i — both sides must write the initial Result_i
     # (regardless of the instruction's kind).
-    impl_true = reduce_under(
-        impl_data, {vres_var: TRUE, valid_var: TRUE}, stop_nodes=stop
-    )
-    spec_true = reduce_under(
-        spec_data, {vres_var: TRUE, valid_var: TRUE}, stop_nodes=stop
-    )
+    assumptions: Dict[BoolVar, Formula] = {vres_var: TRUE, valid_var: TRUE}
+    impl_true = impl_walk.reduce(assumptions)
+    spec_true = spec_walk.reduce(assumptions)
     if impl_true is not result_var or spec_true is not result_var:
         return RewriteFailure(
             entry,
@@ -517,12 +525,10 @@ def _prove_data_equal(
 
     # Case 2: NOT ValidResult_i — one sub-case per (non-vacuous) kind.
     for assignment, label in kind_cases:
-        assumptions: Dict[BoolVar, Formula] = {
-            vres_var: FALSE, valid_var: TRUE
-        }
+        assumptions = {vres_var: FALSE, valid_var: TRUE}
         assumptions.update(assignment)
-        impl_false = reduce_under(impl_data, assumptions, stop_nodes=stop)
-        spec_false = reduce_under(spec_data, assumptions, stop_nodes=stop)
+        impl_false = impl_walk.reduce(assumptions)
+        spec_false = spec_walk.reduce(assumptions)
         if impl_false is spec_false:
             continue
         # Subcase 2.1: the instruction may have executed during the regular

@@ -11,9 +11,11 @@ shape), exactly as the paper prescribes:
 * :func:`merge_contexts` — rule 2: the two updates of a retire-width
   instruction (``Valid_i AND retire_i`` / ``Valid_i AND NOT retire_i``)
   merge under context ``Valid_i``.
-* :func:`reduce_under` — assumption-driven structural simplification used
-  by the case split on ``ValidResult_i`` (rule 3), with *stop nodes* so
-  large preceding-state sub-DAGs are treated as opaque leaves.
+* :class:`CaseWalk` — assumption-driven structural simplification used
+  by the case split on ``ValidResult_i`` (rule 3): one walk per data
+  expression, rebuilt once per case, with *stop nodes* so large
+  preceding-state sub-DAGs are treated as opaque leaves;
+  :func:`reduce_under` is its one-case form.
 * :func:`split_on_guard` — views a formula as an ITE on a given guard,
   undoing the builder's connective normal forms.
 * :func:`prove_forwarding_matches_read` — rule 3, subcase 2.1: the
@@ -23,7 +25,7 @@ shape), exactly as the paper prescribes:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..errors import ReproError
 from ..eufm import builder
@@ -42,13 +44,14 @@ from ..eufm.ast import (
     Term,
     TermITE,
 )
-from ..eufm.traversal import _rebuild
+from ..eufm.traversal import _rebuild_from
 
 __all__ = [
     "conjuncts",
     "contexts_disjoint",
     "merge_contexts",
     "reduce_under",
+    "CaseWalk",
     "split_on_guard",
     "substitute_opaque",
     "prove_forwarding_matches_read",
@@ -119,6 +122,100 @@ def merge_contexts(
     return None
 
 
+class CaseWalk:
+    """One post-order walk of ``root``, rebuilt once per case of a split.
+
+    The walk neither descends into ``stop_nodes`` nor into the keys of
+    ``seam``, which keeps per-slice checks local even though the data
+    expressions reference large preceding-state chains.  Each
+    :meth:`reduce` rebuilds the walked order with Boolean variables fixed
+    to constants: the seam keys become their values and the stop nodes
+    stay as they are (both opaque leaves, never reduced).  A node whose
+    rebuilt children are all its own children is kept as is, without a
+    builder call — sound because builder output is already in normal form.
+
+    ``reduce(assumptions)`` equals ``reduce_under(substitute_opaque(root,
+    seam), assumptions, stop_nodes)`` when the seam values are stop nodes,
+    no seam key lies beneath a stop node, and the substitution neither
+    creates a stop node nor lets the builder merge one into its parent
+    (And/Or flattening, double negation, ITE collapse, read-over-write
+    folding).  All of these hold at the engine's prefix seam, where the
+    seam keys are only ever read from.
+    """
+
+    def __init__(
+        self,
+        root: Expr,
+        stop_nodes: Iterable[Expr] = (),
+        seam: Optional[Dict[Expr, Expr]] = None,
+    ) -> None:
+        self._seam = seam or {}
+        self._stop = {node.uid for node in stop_nodes}
+        opaque = self._stop | {node.uid for node in self._seam}
+        deadline = current_deadline()
+        # uid -> post-order position; -1 while the node is being expanded.
+        position: Dict[int, int] = {}
+        nodes: List[Expr] = []
+        inner: List[Tuple[int, List[int]]] = []
+        stack: List[Tuple[Expr, Optional[Tuple[Expr, ...]]]] = [(root, None)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            deadline.tick("rewrite")
+            node, children = pop()
+            if children is not None:
+                index = len(nodes)
+                position[node.uid] = index
+                nodes.append(node)
+                inner.append(
+                    (index, [position[child.uid] for child in children])
+                )
+                continue
+            uid = node.uid
+            if uid in position:
+                continue
+            children = () if uid in opaque else node.children
+            if not children:
+                position[uid] = len(nodes)
+                nodes.append(node)
+                continue
+            position[uid] = -1
+            push((node, children))
+            for child in children:
+                if child.uid not in position:
+                    push((child, None))
+        self._position = position
+        self._nodes = nodes
+        self._inner = inner
+
+    @property
+    def nodes_visited(self) -> int:
+        """Length of the walk: the distinct nodes above the opaque leaves."""
+        return len(self._nodes)
+
+    def reduce(self, assumptions: Dict[BoolVar, Formula]) -> Expr:
+        """The walked expression rebuilt under one case's assumptions."""
+        nodes = self._nodes
+        values = list(nodes)
+        position, stop = self._position, self._stop
+        for var, value in assumptions.items():
+            index = position.get(var.uid)
+            if (index is not None and var.uid not in stop
+                    and isinstance(var, BoolVar)):
+                values[index] = value
+        for key, value in self._seam.items():
+            index = position.get(key.uid)
+            if index is not None:
+                values[index] = value
+        for index, children in self._inner:
+            for child in children:
+                if values[child] is not nodes[child]:
+                    values[index] = _rebuild_from(
+                        nodes[index], [values[c] for c in children]
+                    )
+                    break
+        return values[-1]
+
+
 def reduce_under(
     expr: Expr,
     assumptions: Dict[BoolVar, Formula],
@@ -127,41 +224,12 @@ def reduce_under(
     """Rebuild ``expr`` with Boolean variables fixed to constants.
 
     ``stop_nodes`` are treated as opaque leaves: the walk neither descends
-    into nor rewrites them, which keeps per-slice checks local even though
-    the data expressions reference large preceding-state chains.
+    into nor rewrites them.  A one-case :class:`CaseWalk`.
     """
-    stop = stop_nodes or set()
     for value in assumptions.values():
         if value is not TRUE and value is not FALSE:
             raise ValueError("assumptions must map variables to constants")
-    deadline = current_deadline()
-    rebuilt: Dict[Expr, Expr] = {}
-    order: List[Expr] = []
-    seen: Set[Expr] = set()
-    stack: List[Tuple[Expr, bool]] = [(expr, False)]
-    while stack:
-        deadline.tick("rewrite")
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.append((node, True))
-        if node in stop:
-            continue
-        for child in node.children:
-            if child not in seen:
-                stack.append((child, False))
-    for node in order:
-        if node in stop:
-            rebuilt[node] = node
-        elif isinstance(node, BoolVar) and node in assumptions:
-            rebuilt[node] = assumptions[node]
-        else:
-            rebuilt[node] = _rebuild(node, rebuilt)
-    return rebuilt[expr]
+    return CaseWalk(expr, stop_nodes or ()).reduce(assumptions)
 
 
 def substitute_opaque(root: Expr, mapping: Dict[Expr, Expr]) -> Expr:
@@ -171,32 +239,7 @@ def substitute_opaque(root: Expr, mapping: Dict[Expr, Expr]) -> Expr:
     descend into the replaced sub-DAGs, so replacing a large preceding
     chain state costs only the size of the logic *above* it.
     """
-    deadline = current_deadline()
-    rebuilt: Dict[Expr, Expr] = {}
-    order: List[Expr] = []
-    seen: Set[Expr] = set()
-    stack: List[Tuple[Expr, bool]] = [(root, False)]
-    while stack:
-        deadline.tick("rewrite")
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.append((node, True))
-        if node in mapping:
-            continue
-        for child in node.children:
-            if child not in seen:
-                stack.append((child, False))
-    for node in order:
-        replacement = mapping.get(node)
-        rebuilt[node] = replacement if replacement is not None else _rebuild(
-            node, rebuilt
-        )
-    return rebuilt[root]
+    return CaseWalk(root, seam=mapping).reduce({})
 
 
 def split_on_guard(

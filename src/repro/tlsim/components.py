@@ -5,21 +5,19 @@ expressions.  Combinational components recompute their outputs whenever an
 input changes (the event-driven evaluation of the simulator); latches
 capture their data input at the end of a step.
 
-``Fn`` is the general combinational block: an arbitrary Python function
-from input expressions to output expressions, used for per-slice processor
-logic.  The convenience subclasses (gates, muxes, UF blocks, memory ports)
-cover the common structural idioms and make circuit descriptions read like
-a netlist.
+``Fn`` is the combinational block — the only one the simulator
+evaluates: an arbitrary Python function from input expressions to output
+expressions, used for per-slice processor logic.  The convenience
+subclasses (gates, muxes, UF blocks, memory ports) cover the common
+structural idioms and make circuit descriptions read like a netlist.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
-from ..errors import ReproError
 from ..eufm import builder
-from ..eufm.ast import Expr, Formula, Term
-from .signals import FORMULA, MEMORY, TERM, Signal
+from .signals import FORMULA, Signal
 
 __all__ = [
     "Component",
@@ -49,10 +47,6 @@ class Component:
         self.inputs: Tuple[Signal, ...] = tuple(inputs)
         self.outputs: Tuple[Signal, ...] = tuple(outputs)
 
-    def evaluate(self, values: Dict[Signal, Expr]) -> Dict[Signal, Expr]:
-        """Compute output expressions from the input expressions."""
-        raise NotImplementedError
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"
 
@@ -75,24 +69,11 @@ class Fn(Component):
         super().__init__(name, inputs, outputs)
         self.fn = fn
 
-    def evaluate(self, values: Dict[Signal, Expr]) -> Dict[Signal, Expr]:
-        args = [values[signal] for signal in self.inputs]
-        result = self.fn(*args)
-        if len(self.outputs) == 1:
-            result = (result,)
-        if len(result) != len(self.outputs):
-            raise ValueError(
-                f"{self.name}: fn returned {len(result)} values for "
-                f"{len(self.outputs)} outputs"
-            )
-        return dict(zip(self.outputs, result))
-
 
 class Latch(Component):
     """A state element: output holds state; ``data`` is captured on step.
 
-    The simulator treats latches specially — ``evaluate`` is never called;
-    the declared input is the next-state signal and the single output is
+    The declared input is the next-state signal and the single output is
     the present-state signal.
     """
 
@@ -102,11 +83,6 @@ class Latch(Component):
         super().__init__(name, [data], [out])
         self.data = data
         self.out = out
-
-    def evaluate(self, values: Dict[Signal, Expr]) -> Dict[Signal, Expr]:
-        raise ReproError(
-            "latches are stepped by the simulator, not evaluated"
-        )
 
 
 class AndGate(Fn):

@@ -8,21 +8,27 @@ to hash-consing, "changed" is a constant-time identity test.  This is the
 cone-of-influence optimization the paper describes for TLSim (Sect. 7):
 during flushing, only one computation slice is active per step, so only
 its cone is re-evaluated.
+
+The circuit is static, so the simulator compiles it once: signals are
+numbered and their values kept in a list, every combinational component
+becomes a schedule slot (its ``Fn`` plus input and output signal
+numbers, in topological order), and every signal knows the slots that
+read it.  Settling walks the slots with a dirty flag per slot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
-
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ReproError
 from ..eufm.ast import Expr, Formula, Term
 from ..guard.deadline import current_deadline
 from ..obs.tracer import current_tracer
 from .circuit import Circuit
-from .components import Component, Latch
-from .signals import FORMULA, MEMORY, Signal
+from .components import Fn
+from .signals import FORMULA, Signal
 
 __all__ = ["Simulator", "SimulationError", "SimulatorStats"]
 
@@ -45,21 +51,73 @@ class SimulatorStats:
     components_skipped: int = 0
 
 
+#: one schedule slot: the block's function, a reader of its input values
+#: (as a tuple) from the value list, and its output signal numbers.
+_Slot = Tuple[Callable[..., object], Callable[[list], tuple], Tuple[int, ...]]
+
+
+def _input_reader(indices: Tuple[int, ...]) -> Callable[[list], tuple]:
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        (only,) = indices
+        return lambda values: (values[only],)
+    return lambda values: ()
+
+
 class Simulator:
     """Symbolic simulator for one :class:`Circuit`."""
 
     def __init__(self, circuit: Circuit) -> None:
         circuit.freeze()
         self.circuit = circuit
-        self.values: Dict[Signal, Expr] = {}
         self.stats = SimulatorStats()
-        self._order = circuit.combinational_order()
-        self._position = {c: i for i, c in enumerate(self._order)}
-        # Last-seen input expressions per component, for change detection.
-        self._last_inputs: Dict[Component, tuple] = {}
-        self._dirty: Set[Component] = set(self._order)
         # Counter values already pushed to the tracer (see publish_counters).
         self._published = SimulatorStats()
+
+        self._order = order = circuit.combinational_order()
+        self._index: Dict[Signal, int] = {}
+        self._signals: List[Signal] = []
+        for component in circuit.components:
+            for signal in component.inputs + component.outputs:
+                if signal not in self._index:
+                    self._index[signal] = len(self._signals)
+                    self._signals.append(signal)
+        index = self._index
+        self._values: List[Optional[Expr]] = [None] * len(self._signals)
+        self._sorts = [
+            Formula if signal.sort == FORMULA else Term
+            for signal in self._signals
+        ]
+        self._slots: List[_Slot] = []
+        for component in order:
+            if not isinstance(component, Fn):
+                raise SimulationError(
+                    f"combinational component {component.name!r} is a "
+                    f"{type(component).__name__}, not an Fn block"
+                )
+            inputs = tuple(index[signal] for signal in component.inputs)
+            outputs = tuple(index[signal] for signal in component.outputs)
+            self._slots.append((component.fn, _input_reader(inputs), outputs))
+        slot_of = {component: slot for slot, component in enumerate(order)}
+        # Per signal, the slots that read it, in schedule order (latches
+        # are captured by step, not scheduled).
+        self._readers = [
+            sorted({
+                slot_of[reader] for reader in circuit.readers_of(signal)
+                if reader in slot_of
+            })
+            for signal in self._signals
+        ]
+        self._latches = [
+            (index[latch.data], index[latch.out]) for latch in circuit.latches
+        ]
+        self._state = {latch.out for latch in circuit.latches}
+        # Last-seen input values per slot, for change detection.
+        self._last_inputs: List[Optional[tuple]] = [None] * len(order)
+        self._dirty = [True] * len(order)
+        # Lowest dirty slot; len(order) when nothing is dirty.
+        self._first_dirty = 0
 
     # ------------------------------------------------------------------
     # State and input management
@@ -67,37 +125,45 @@ class Simulator:
 
     def init_state(self, assignments: Dict[Signal, Expr]) -> None:
         """Set the present-state value of latch outputs (initial state)."""
-        state = set(self.circuit.state_signals)
         for signal, expr in assignments.items():
-            if signal not in state:
+            if signal not in self._state:
                 raise SimulationError(f"{signal.name!r} is not a latch output")
-            self._set(signal, expr)
+            self._set(self._index[signal], expr)
 
     def set_input(self, signal: Signal, expr: Expr) -> None:
         """Drive a primary input for the upcoming evaluation."""
         if self.circuit.driver_of(signal) is not None:
             raise SimulationError(f"{signal.name!r} is driven by the circuit")
-        self._set(signal, expr)
+        if signal not in self._index:
+            raise SimulationError(f"{signal.name!r} is not in the circuit")
+        self._set(self._index[signal], expr)
 
     def set_inputs(self, assignments: Dict[Signal, Expr]) -> None:
         for signal, expr in assignments.items():
             self.set_input(signal, expr)
 
-    def _set(self, signal: Signal, expr: Expr) -> None:
-        _check_sort(signal, expr)
-        old = self.values.get(signal)
-        if old is expr:
+    def _set(self, signal: int, expr: Expr) -> None:
+        if not isinstance(expr, self._sorts[signal]):
+            self._sort_error(signal)
+        self._assign(signal, expr)
+
+    def _assign(self, signal: int, expr: Expr) -> None:
+        if self._values[signal] is expr:
             return
-        self.values[signal] = expr
-        for reader in self.circuit.readers_of(signal):
-            if not isinstance(reader, Latch):
-                self._dirty.add(reader)
+        self._values[signal] = expr
+        readers = self._readers[signal]
+        for reader in readers:
+            self._dirty[reader] = True
+        if readers and readers[0] < self._first_dirty:
+            self._first_dirty = readers[0]
 
     def peek(self, signal: Signal) -> Expr:
         """Current expression on ``signal`` (after :meth:`settle`)."""
-        if signal not in self.values:
+        index = self._index.get(signal)
+        value = None if index is None else self._values[index]
+        if value is None:
             raise SimulationError(f"{signal.name!r} has no value yet")
-        return self.values[signal]
+        return value
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -105,34 +171,67 @@ class Simulator:
 
     def settle(self) -> None:
         """Evaluate combinational logic (event-driven, topological order)."""
-        if not self._dirty:
+        count = len(self._slots)
+        if self._first_dirty >= count:
             return
         deadline = current_deadline()
-        for component in self._order:
-            if component not in self._dirty:
-                self.stats.components_skipped += 1
+        values, sorts, readers = self._values, self._sorts, self._readers
+        slots, dirty, last_inputs = self._slots, self._dirty, self._last_inputs
+        evaluations = 0
+        # Readers of a slot's outputs sit later in topological order, so
+        # one forward pass settles everything.
+        for position in range(self._first_dirty, count):
+            if not dirty[position]:
                 continue
-            self._dirty.discard(component)
-            inputs = tuple(self._require(s) for s in component.inputs)
-            if self._last_inputs.get(component) == inputs:
-                self.stats.components_skipped += 1
+            dirty[position] = False
+            fn, read_inputs, outputs = slots[position]
+            inputs = read_inputs(values)
+            last = last_inputs[position]
+            if last is None:
+                # Once driven a signal stays driven, so a slot's inputs
+                # need checking only before its first evaluation.
+                self._check_driven(inputs, position)
+            elif last == inputs:
                 continue
-            self._last_inputs[component] = inputs
-            self.stats.component_evaluations += 1
+            last_inputs[position] = inputs
+            evaluations += 1
             deadline.tick("tlsim")
-            outputs = component.evaluate(self.values)
-            for signal, expr in outputs.items():
-                self._set(signal, expr)
+            result = fn(*inputs)
+            if len(outputs) == 1:
+                result = (result,)
+            elif len(result) != len(outputs):
+                raise ValueError(
+                    f"{self._order[position].name}: fn returned "
+                    f"{len(result)} values for {len(outputs)} outputs"
+                )
+            for signal, expr in zip(outputs, result):
+                if not isinstance(expr, sorts[signal]):
+                    self._sort_error(signal)
+                if values[signal] is not expr:
+                    values[signal] = expr
+                    for reader in readers[signal]:
+                        dirty[reader] = True
+        self._first_dirty = count
+        self.stats.component_evaluations += evaluations
+        self.stats.components_skipped += count - evaluations
 
     def step(self) -> None:
         """One clock cycle: settle combinational logic, capture latches."""
         current_deadline().check("tlsim")
         self.settle()
-        captured: Dict[Signal, Expr] = {}
-        for latch in self.circuit.latches:
-            captured[latch.out] = self._require(latch.data)
-        for signal, expr in captured.items():
-            self._set(signal, expr)
+        values = self._values
+        # Capture every latch before writing any: one latch's output may
+        # be another's data.  Data and output share a sort (checked when
+        # the latch is built) and values are sort-checked on entry.
+        captured = []
+        for data, out in self._latches:
+            expr = values[data]
+            if expr is None:
+                self._undriven(data)
+            if expr is not values[out]:
+                captured.append((out, expr))
+        for out, expr in captured:
+            self._assign(out, expr)
         self.stats.steps += 1
         current_tracer().add("tlsim.cycles", 1)
 
@@ -159,21 +258,23 @@ class Simulator:
             components_skipped=stats.components_skipped,
         )
 
-    def _require(self, signal: Signal) -> Expr:
-        if signal not in self.values:
-            raise SimulationError(
-                f"signal {signal.name!r} read before it was driven; "
-                "set primary inputs and initial state first"
-            )
-        return self.values[signal]
+    # ------------------------------------------------------------------
+    # Errors
+    # ------------------------------------------------------------------
 
+    def _check_driven(self, inputs: tuple, position: int) -> None:
+        for value, signal in zip(inputs, self._order[position].inputs):
+            if value is None:
+                self._undriven(self._index[signal])
 
-def _check_sort(signal: Signal, expr: Expr) -> None:
-    if signal.sort == FORMULA:
-        if not isinstance(expr, Formula):
-            raise SimulationError(
-                f"control signal {signal.name!r} needs a formula"
-            )
-    else:
-        if not isinstance(expr, Term):
-            raise SimulationError(f"signal {signal.name!r} needs a term")
+    def _undriven(self, signal: int) -> None:
+        raise SimulationError(
+            f"signal {self._signals[signal].name!r} read before it was "
+            "driven; set primary inputs and initial state first"
+        )
+
+    def _sort_error(self, signal: int) -> None:
+        name = self._signals[signal].name
+        if self._sorts[signal] is Formula:
+            raise SimulationError(f"control signal {name!r} needs a formula")
+        raise SimulationError(f"signal {name!r} needs a term")

@@ -18,6 +18,7 @@ from repro.eufm import (
 from repro.tlsim import (
     AndGate,
     Circuit,
+    Component,
     EqComparator,
     Fn,
     Latch,
@@ -28,6 +29,7 @@ from repro.tlsim import (
     Signal,
     SimulationError,
     Simulator,
+    SimulatorStats,
     UFBlock,
     FORMULA,
     MEMORY,
@@ -208,3 +210,106 @@ class TestComparator:
         sim.set_input(b, tvar("x"))
         sim.settle()
         assert sim.peek(out) is TRUE
+
+
+class TestCompiledSchedule:
+    def test_counts_pinned_on_reg_reg_n8_k2_diagram(self):
+        """Which slots are evaluated and which skipped is part of the
+        simulator's contract: traces and benchmarks report the counts."""
+        from repro.processor import ProcessorConfig
+        from repro.processor.abstraction import flush_range
+        from repro.processor.ooo import build_ooo_processor, make_simulator
+
+        proc = build_ooo_processor(ProcessorConfig(n_rob=8, issue_width=2))
+        impl = make_simulator(proc)
+        impl.step()
+        flush_range(impl, proc, 1, 10)
+        spec = make_simulator(proc)
+        flush_range(spec, proc, 1, 10)
+        assert impl.stats == SimulatorStats(
+            steps=11, component_evaluations=186, components_skipped=155
+        )
+        assert spec.stats == SimulatorStats(
+            steps=10, component_evaluations=144, components_skipped=166
+        )
+
+    def test_read_before_driven_names_the_signal(self):
+        circuit = Circuit()
+        a, b, out = Signal("a", FORMULA), Signal("b", FORMULA), Signal("o", FORMULA)
+        circuit.add(AndGate("g", [a, b], out))
+        sim = Simulator(circuit)
+        sim.set_input(a, bvar("p"))
+        with pytest.raises(SimulationError, match="'b' read before it was"):
+            sim.settle()
+
+    def test_latch_data_read_before_driven(self):
+        circuit = Circuit()
+        data, state = Signal("d", TERM), Signal("q", TERM)
+        circuit.add(Latch("l", data, state))
+        sim = Simulator(circuit)
+        sim.init_state({state: tvar("Q0")})
+        with pytest.raises(SimulationError, match="'d' read before"):
+            sim.step()
+
+    def test_fn_returning_wrong_sort_rejected(self):
+        circuit = Circuit()
+        a, out = Signal("a", TERM), Signal("o", FORMULA)
+        circuit.add(Fn("bad", [a], [out], lambda x: uf("f", [x])))
+        sim = Simulator(circuit)
+        sim.set_input(a, tvar("x"))
+        with pytest.raises(SimulationError, match="'o' needs a formula"):
+            sim.settle()
+
+    def test_fn_returning_wrong_count_rejected(self):
+        circuit = Circuit()
+        a = Signal("a", TERM)
+        o1, o2 = Signal("o1", TERM), Signal("o2", TERM)
+        circuit.add(Fn("pair", [a], [o1, o2], lambda x: (x,)))
+        sim = Simulator(circuit)
+        sim.set_input(a, tvar("x"))
+        with pytest.raises(ValueError, match="pair: fn returned 1 values"):
+            sim.settle()
+
+    def test_set_input_on_driven_signal_rejected(self):
+        circuit, pc, enable = _counter_circuit()
+        sim = Simulator(circuit)
+        with pytest.raises(SimulationError, match="'pc_next' is driven by"):
+            sim.set_inputs({enable: TRUE, circuit.latches[0].data: tvar("x")})
+        with pytest.raises(SimulationError, match="'enable' is not a latch"):
+            sim.init_state({enable: TRUE})
+        with pytest.raises(SimulationError, match="'stray' is not in the"):
+            sim.set_input(Signal("stray", TERM), tvar("x"))
+
+    def test_non_fn_combinational_component_rejected(self):
+        circuit = Circuit()
+        a, out = Signal("a", TERM), Signal("o", TERM)
+        circuit.add(Component("opaque", [a], [out]))
+        with pytest.raises(SimulationError, match="'opaque' is a Component"):
+            Simulator(circuit)
+
+    def test_multi_output_fn_and_repeated_input(self):
+        circuit = Circuit()
+        a = Signal("a", TERM)
+        o1, o2 = Signal("o1", TERM), Signal("o2", FORMULA)
+        circuit.add(Fn("both", [a, a], [o1, o2],
+                       lambda x, y: (uf("f", [x]), eq(x, y))))
+        sim = Simulator(circuit)
+        sim.set_input(a, tvar("x"))
+        sim.settle()
+        assert sim.peek(o1) is uf("f", [tvar("x")])
+        assert sim.peek(o2) is TRUE
+        assert sim.stats.component_evaluations == 1
+
+    def test_input_restored_before_settle_skips_evaluation(self):
+        circuit = Circuit()
+        a, out = Signal("a", TERM), Signal("o", TERM)
+        circuit.add(UFBlock("f", "f", [a], out))
+        sim = Simulator(circuit)
+        sim.set_input(a, tvar("x"))
+        sim.settle()
+        sim.set_input(a, tvar("y"))
+        sim.set_input(a, tvar("x"))
+        sim.settle()
+        assert sim.stats == SimulatorStats(
+            steps=0, component_evaluations=1, components_skipped=1
+        )
