@@ -31,7 +31,6 @@ from .incremental import (
     current_session_pool,
     use_session_pool,
 )
-from .npkernel import HAVE_NUMPY
 from .reference import solve_by_enumeration
 from .solver import SatResult, Solver, solve_cnf
 from .tseitin import TseitinResult, cnf_for_satisfiability, tseitin
@@ -62,5 +61,4 @@ __all__ = [
     "resolve_backend",
     "current_backend",
     "use_backend",
-    "HAVE_NUMPY",
 ]

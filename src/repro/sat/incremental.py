@@ -43,20 +43,6 @@ a *copy* of that journal plus a per-call tail:
 
 Reverse unit propagation is monotone under clause addition, so journal
 entries recorded in earlier calls stay valid in every later view.
-
-The numpy root kernel
----------------------
-
-On the first call of a large instance the pending root-unit cascade is
-replayed by :mod:`repro.sat.npkernel` (when numpy is importable) as
-vectorized whole-array rounds instead of the per-literal watched loop.
-The kernel bypasses watch lists, so afterwards the watches are rebuilt
-(:meth:`IncrementalSolver._rebuild_watches`) and ``queue_head`` is reset
-to re-scan the trail — the exact watched pass re-validates everything
-the kernel did and finishes anything it left (the kernel is bounded in
-rounds and may legitimately under-propagate).  Root conflicts are left
-for the watched pass to derive, keeping the UNSAT path byte-identical to
-the non-kernel one.
 """
 
 from __future__ import annotations
@@ -66,14 +52,12 @@ import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
-from itertools import chain
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import SolverError
 from ..guard.deadline import current_deadline
 from ..obs.tracer import current_tracer
 from .cnf import Cnf
-from .npkernel import HAVE_NUMPY, RootPropagationKernel
 from .solver import (
     _CLAUSE_BYTES,
     _PROP_CHECK_INTERVAL,
@@ -92,30 +76,21 @@ __all__ = [
     "use_session_pool",
 ]
 
-#: Below this many database clauses the vectorized root pass costs more
-#: than the watched loop it replaces (array setup is O(total literals)).
-_KERNEL_MIN_CLAUSES = 256
-
 
 class IncrementalSolver(Solver):
     """A :class:`Solver` whose :meth:`solve` can be called repeatedly.
 
     State persists between calls: learned clauses (and their journal
     entries), variable activities, saved phases.  Between calls the
-    solver sits at decision level 0.  ``use_kernel=False`` disables the
-    numpy root pass regardless of numpy availability.
+    solver sits at decision level 0.
     """
 
-    def __init__(
-        self, cnf: Cnf, log_proof: bool = False, use_kernel: bool = True
-    ) -> None:
+    def __init__(self, cnf: Cnf, log_proof: bool = False) -> None:
         super().__init__(cnf, log_proof=log_proof)
         #: latched *real* unsatisfiability (never set by failed
         #: assumptions, which are a property of the call, not the CNF).
         self._unsat = not self.ok
         self._calls = 0
-        self._use_kernel = use_kernel and HAVE_NUMPY
-        self._kernel_propagations = 0
 
     # ------------------------------------------------------------------
     # Incremental clause addition
@@ -150,7 +125,7 @@ class IncrementalSolver(Solver):
         """One incremental call, optionally under ``assumptions``.
 
         Recorded as a ``"sat"`` span like the base solver, plus
-        ``sat.incremental_calls`` / ``sat.kernel_propagations`` counters.
+        a ``sat.incremental_calls`` counter.
         """
         assumptions = tuple(assumptions)
         with current_tracer().span("sat") as span:
@@ -166,10 +141,6 @@ class IncrementalSolver(Solver):
             span.add("sat.learned_clauses", result.learned_clauses)
             span.add("sat.max_decision_level", result.max_decision_level)
             span.add("sat.incremental_calls", 1)
-            if self._kernel_propagations:
-                span.add(
-                    "sat.kernel_propagations", self._kernel_propagations
-                )
             if result.proof is not None:
                 span.add("sat.proof_steps", len(result.proof))
             return result
@@ -182,7 +153,6 @@ class IncrementalSolver(Solver):
     ) -> SatResult:
         start = time.perf_counter()
         self._calls += 1
-        self._kernel_propagations = 0
         for lit in assumptions:
             if lit == 0 or abs(lit) > self.num_vars:
                 raise SolverError(
@@ -204,14 +174,6 @@ class IncrementalSolver(Solver):
         conflicts_until_restart = restart_base * _luby(luby_index)
         conflicts_since_restart = 0
         next_prop_check = _PROP_CHECK_INTERVAL
-
-        if (
-            self._use_kernel
-            and not self.trail_lim
-            and self.queue_head < len(self.trail)
-            and len(self.clauses) + len(self.learned) >= _KERNEL_MIN_CLAUSES
-        ):
-            self._kernel_root_pass()
 
         while True:
             conflict = self._propagate()
@@ -246,8 +208,8 @@ class IncrementalSolver(Solver):
                     clause = _Clause(learnt, learned=True)
                     clause.activity = self.cla_inc
                     self.learned.append(clause)
-                    self.watches.setdefault(-learnt[0], []).append(clause)
-                    self.watches.setdefault(-learnt[1], []).append(clause)
+                    self.watches[-learnt[0]].append(clause)
+                    self.watches[-learnt[1]].append(clause)
                     self._enqueue(learnt[0], clause)
                     result.learned_clauses += 1
                     deadline.charge(bytes_=_CLAUSE_BYTES + 8 * len(learnt))
@@ -282,8 +244,7 @@ class IncrementalSolver(Solver):
             while len(self.trail_lim) < len(assumptions):
                 deadline.tick("sat")
                 lit = assumptions[len(self.trail_lim)]
-                var = lit if lit > 0 else -lit
-                value = self.assigns[var] if lit > 0 else -self.assigns[var]
+                value = self.assigns[lit]
                 if value > 0:
                     # Already true: burn an empty level to keep the
                     # index == level correspondence.
@@ -359,51 +320,6 @@ class IncrementalSolver(Solver):
                         seen.add(other_var)
         return out
 
-    # ------------------------------------------------------------------
-    # numpy root pass
-    # ------------------------------------------------------------------
-
-    def _kernel_root_pass(self) -> None:
-        clauses = [c.literals for c in chain(self.clauses, self.learned)]
-        kernel = RootPropagationKernel(clauses, self.num_vars)
-        outcome = kernel.fixpoint(self.assigns)
-        if outcome.conflict or not outcome.implied:
-            # Root conflicts (and no-ops) are left to the exact watched
-            # pass, which derives them with proper bookkeeping.
-            return
-        for lit in outcome.implied:
-            self._enqueue(lit, None)
-        self._kernel_propagations = outcome.propagations
-        self._rebuild_watches()
-
-    def _rebuild_watches(self) -> None:
-        """Re-derive every clause's watched pair from the current root
-        assignment and schedule a full trail re-scan.
-
-        Ranking true < unassigned < false puts the most useful literals
-        in the watched slots; any clause left watching a false literal
-        has that literal's negation on the trail, so the ``queue_head=0``
-        re-scan visits it and restores the watch invariant (or finds the
-        unit/conflict the kernel implied)."""
-        assigns = self.assigns
-
-        def rank(lit: int) -> int:
-            value = assigns[lit] if lit > 0 else -assigns[-lit]
-            if value > 0:
-                return 0
-            if value == 0:
-                return 1
-            return 2
-
-        watches: Dict[int, List[_Clause]] = {}
-        for clause in chain(self.clauses, self.learned):
-            literals = clause.literals
-            literals.sort(key=rank)
-            watches.setdefault(-literals[0], []).append(clause)
-            watches.setdefault(-literals[1], []).append(clause)
-        self.watches = watches
-        self.queue_head = 0
-
 
 # ----------------------------------------------------------------------
 # Session pool
@@ -448,14 +364,13 @@ class SessionPool:
     span as ``sat.session_*`` counters.
     """
 
-    def __init__(self, max_sessions: int = 8, use_kernel: bool = True) -> None:
+    def __init__(self, max_sessions: int = 8) -> None:
         if max_sessions < 1:
             raise ValueError("max_sessions must be >= 1")
         self._sessions: "OrderedDict[Tuple[str, bool], SatSession]" = (
             OrderedDict()
         )
         self.max_sessions = max_sessions
-        self.use_kernel = use_kernel
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -479,9 +394,7 @@ class SessionPool:
             return existing
         self.misses += 1
         tracer.add("sat.session_misses", 1)
-        solver = IncrementalSolver(
-            cnf, log_proof=log_proof, use_kernel=self.use_kernel
-        )
+        solver = IncrementalSolver(cnf, log_proof=log_proof)
         session = SatSession(key[0], bool(log_proof), solver)
         self._sessions[key] = session
         for _ in range(len(self._sessions) - self.max_sessions):

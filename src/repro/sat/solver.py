@@ -7,10 +7,23 @@ activity-based learned-clause deletion.  This is the reproduction's
 substitute for the Chaff SAT-checker used in the paper; absolute speed
 differs (pure Python), the algorithmic behaviour does not.
 
-Implementation notes: assignments are stored as small integers
-(0 unassigned, +1 true, -1 false) indexed by variable, so the value of a
-literal ``lit`` is ``assigns[|lit|] * sign(lit)``; the propagation loop
-inlines these tests — they account for the bulk of the runtime.
+Implementation notes: the state the propagation loop reads is indexed by
+*literal*.  ``assigns`` has ``2n+1`` slots holding 0 (unassigned), +1
+(true) or -1 (false); Python's negative indices fold literal ``-v`` into
+the upper half, and every assignment writes both halves, so
+``assigns[-v] == -assigns[v]`` and the value of a literal ``lit`` is
+simply ``assigns[lit]`` (``assigns[v]`` for ``v >= 1`` is the variable's
+value).  ``watches`` is laid out the same way: ``watches[lit]`` lists the
+clauses watching ``-lit``, i.e. the clauses to visit when ``lit`` becomes
+true.  ``_propagate`` compacts each visited watch list in place.
+
+The decision heap holds ``(-activity[v], v)`` entries and is lazy: a bump
+leaves the variable's old entry behind as a stale one, skipped when
+popped.  ``_queued[v]`` is true exactly while the heap holds the *live*
+entry ``(-activity[v], v)``, so backtracking pushes a variable only when
+it has none.  Invariant: every unassigned variable has a live entry.
+The next decision is therefore the unassigned variable with the least
+``(-activity, var)`` however the heap is laid out.
 
 Proof logging (``log_proof=True``): the solver records a DRUP clause
 proof — every learned clause (post-minimization, including learned
@@ -100,16 +113,22 @@ class Solver:
         self._proof: Optional[List[Tuple[str, Tuple[int, ...]]]] = (
             [] if log_proof else None
         )
-        # 1-indexed variable state; assigns holds 0 / +1 / -1.
-        self.assigns: List[int] = [0] * (self.num_vars + 1)
-        self.level: List[int] = [0] * (self.num_vars + 1)
-        self.reason: List[Optional[_Clause]] = [None] * (self.num_vars + 1)
-        self.activity: List[float] = [0.0] * (self.num_vars + 1)
-        self.saved_phase: List[int] = [-1] * (self.num_vars + 1)
+        num_vars = self.num_vars
+        # Literal-indexed (see the module docstring): 0 / +1 / -1.
+        self.assigns: List[int] = [0] * (2 * num_vars + 1)
+        # 1-indexed variable state.
+        self.level: List[int] = [0] * (num_vars + 1)
+        self.reason: List[Optional[_Clause]] = [None] * (num_vars + 1)
+        self.activity: List[float] = [0.0] * (num_vars + 1)
+        self.saved_phase: List[int] = [-1] * (num_vars + 1)
         self.trail: List[int] = []
         self.trail_lim: List[int] = []
         self.queue_head = 0
-        self.watches: Dict[int, List[_Clause]] = {}
+        #: literal-indexed watch lists: the clauses to visit when the
+        #: index literal becomes true.
+        self.watches: List[List[_Clause]] = [
+            [] for _ in range(2 * num_vars + 1)
+        ]
         self.clauses: List[_Clause] = []
         self.learned: List[_Clause] = []
         self.var_inc = 1.0
@@ -123,9 +142,13 @@ class Solver:
         #: tests asserting bounded per-conflict bump work.
         self._activity_rescales = 0
         # Lazy decision heap of (-activity, var); stale entries skipped.
-        self._heap: List[Tuple[float, int]] = []
-        for var in range(1, self.num_vars + 1):
-            self._heap.append((0.0, var))
+        # _queued[v]: the heap holds the live entry (-activity[v], v).
+        self._heap: List[Tuple[float, int]] = [
+            (0.0, var) for var in range(1, num_vars + 1)
+        ]
+        self._queued: List[bool] = [False] + [True] * num_vars
+        #: conflict-analysis marks, all False between conflicts.
+        self._seen: List[bool] = [False] * (num_vars + 1)
         for clause in cnf.clauses:
             if not self._add_clause(list(clause)):
                 self.ok = False
@@ -150,7 +173,7 @@ class Solver:
         assigns = self.assigns
         simplified = []
         for lit in literals:
-            value = assigns[lit] if lit > 0 else -assigns[-lit]
+            value = assigns[lit]
             if value > 0:
                 return True  # satisfied at level 0
             if value == 0:
@@ -162,8 +185,8 @@ class Solver:
             return self._enqueue(literals[0], None)
         clause = _Clause(literals, False)
         self.clauses.append(clause)
-        self.watches.setdefault(-literals[0], []).append(clause)
-        self.watches.setdefault(-literals[1], []).append(clause)
+        self.watches[-literals[0]].append(clause)
+        self.watches[-literals[1]].append(clause)
         return True
 
     # ------------------------------------------------------------------
@@ -171,11 +194,13 @@ class Solver:
     # ------------------------------------------------------------------
 
     def _enqueue(self, lit: int, reason: Optional[_Clause]) -> bool:
-        var = lit if lit > 0 else -lit
-        current = self.assigns[var]
+        assigns = self.assigns
+        current = assigns[lit]
         if current != 0:
-            return (current > 0) == (lit > 0)
-        self.assigns[var] = 1 if lit > 0 else -1
+            return current > 0
+        assigns[lit] = 1
+        assigns[-lit] = -1
+        var = lit if lit > 0 else -lit
         self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
         self.trail.append(lit)
@@ -192,59 +217,57 @@ class Solver:
         reason = self.reason
         trail = self.trail
         watches = self.watches
-        trail_lim_len_getter = self.trail_lim
-        while self.queue_head < len(trail):
-            lit = trail[self.queue_head]
-            self.queue_head += 1
-            self.stats.propagations += 1
-            watch_list = watches.get(lit)
+        decision_level = len(self.trail_lim)
+        head = start = self.queue_head
+        while head < len(trail):
+            lit = trail[head]
+            head += 1
+            watch_list = watches[lit]
             if not watch_list:
                 continue
-            kept: List[_Clause] = []
-            conflict: Optional[_Clause] = None
+            false_lit = -lit
+            kept = 0
             index = 0
             total = len(watch_list)
             while index < total:
                 clause = watch_list[index]
                 index += 1
                 literals = clause.literals
-                if literals[0] == -lit:
-                    literals[0] = literals[1]
-                    literals[1] = -lit
                 first = literals[0]
-                first_value = assigns[first] if first > 0 else -assigns[-first]
+                if first == false_lit:
+                    first = literals[1]
+                    literals[0] = first
+                    literals[1] = false_lit
+                first_value = assigns[first]
                 if first_value > 0:
-                    kept.append(clause)
+                    watch_list[kept] = clause
+                    kept += 1
                     continue
-                moved = False
                 for slot in range(2, len(literals)):
                     candidate = literals[slot]
-                    cand_value = (
-                        assigns[candidate] if candidate > 0 else -assigns[-candidate]
-                    )
-                    if cand_value >= 0:
+                    if assigns[candidate] >= 0:
                         literals[1] = candidate
-                        literals[slot] = -lit
-                        watches.setdefault(-candidate, []).append(clause)
-                        moved = True
+                        literals[slot] = false_lit
+                        watches[-candidate].append(clause)
                         break
-                if moved:
-                    continue
-                kept.append(clause)
-                if first_value < 0:
-                    kept.extend(watch_list[index:])
-                    conflict = clause
-                    break
-                # Unit: enqueue `first` (inlined _enqueue fast path).
-                var = first if first > 0 else -first
-                assigns[var] = 1 if first > 0 else -1
-                level[var] = len(trail_lim_len_getter)
-                reason[var] = clause
-                trail.append(first)
-            watches[lit] = kept
-            if conflict is not None:
-                self.queue_head = len(trail)
-                return conflict
+                else:
+                    watch_list[kept] = clause
+                    kept += 1
+                    if first_value < 0:
+                        del watch_list[kept:index]
+                        self.stats.propagations += head - start
+                        self.queue_head = len(trail)
+                        return clause
+                    # Unit: enqueue `first` (inlined _enqueue).
+                    assigns[first] = 1
+                    assigns[-first] = -1
+                    var = first if first > 0 else -first
+                    level[var] = decision_level
+                    reason[var] = clause
+                    trail.append(first)
+            del watch_list[kept:]
+        self.stats.propagations += head - start
+        self.queue_head = head
         return None
 
     # ------------------------------------------------------------------
@@ -252,67 +275,81 @@ class Solver:
     # ------------------------------------------------------------------
 
     def _analyze(self, conflict: _Clause) -> Tuple[List[int], int]:
+        seen = self._seen
+        level = self.level
+        reason = self.reason
+        trail = self.trail
+        bump_var = self._bump_var
+        bump_clause = self._bump_clause
         learnt: List[int] = [0]  # placeholder for the asserting literal
-        seen = [False] * (self.num_vars + 1)
         counter = 0
-        lit: Optional[int] = None
+        lit = 0  # the literal `clause` implied; 0 for the conflict
         clause: Optional[_Clause] = conflict
-        trail_index = len(self.trail) - 1
+        trail_index = len(trail) - 1
         current_level = len(self.trail_lim)
 
         while True:
             assert clause is not None
-            self._bump_clause(clause)
+            bump_clause(clause)
             for reason_lit in clause.literals:
-                if lit is not None and reason_lit == lit:
+                if reason_lit == lit:
                     continue
                 var = reason_lit if reason_lit > 0 else -reason_lit
-                if not seen[var] and self.level[var] > 0:
-                    seen[var] = True
-                    self._bump_var(var)
-                    if self.level[var] >= current_level:
-                        counter += 1
-                    else:
-                        learnt.append(reason_lit)
-            while not seen[abs(self.trail[trail_index])]:
+                if not seen[var]:
+                    var_level = level[var]
+                    if var_level > 0:
+                        seen[var] = True
+                        bump_var(var)
+                        if var_level >= current_level:
+                            counter += 1
+                        else:
+                            learnt.append(reason_lit)
+            while True:
+                lit = trail[trail_index]
                 trail_index -= 1
-            lit = self.trail[trail_index]
-            trail_index -= 1
-            var = abs(lit)
+                var = lit if lit > 0 else -lit
+                if seen[var]:
+                    break
             seen[var] = False
             counter -= 1
             if counter == 0:
                 learnt[0] = -lit
                 break
-            clause = self.reason[var]
+            clause = reason[var]
 
+        # Every current-level mark is cleared again; the marks left are
+        # exactly the variables of learnt[1:], which _minimize clears.
         learnt = self._minimize(learnt, seen)
         if len(learnt) == 1:
             return learnt, 0
-        back_level = max(self.level[abs(l)] for l in learnt[1:])
+        back_level = max(level[abs(l)] for l in learnt[1:])
         for slot in range(1, len(learnt)):
-            if self.level[abs(learnt[slot])] == back_level:
+            if level[abs(learnt[slot])] == back_level:
                 learnt[1], learnt[slot] = learnt[slot], learnt[1]
                 break
         return learnt, back_level
 
     def _minimize(self, learnt: List[int], seen: List[bool]) -> List[int]:
-        """Drop literals implied by the rest of the clause (local check)."""
-        for lit in learnt[1:]:
-            seen[abs(lit)] = True
+        """Drop literals implied by the rest of the clause (local check).
+
+        ``seen`` marks exactly the variables of ``learnt[1:]`` on entry;
+        they are all unmarked on return.
+        """
+        level = self.level
+        reason = self.reason
         minimized = [learnt[0]]
         for lit in learnt[1:]:
-            reason = self.reason[abs(lit)]
-            if reason is None:
+            var = lit if lit > 0 else -lit
+            clause = reason[var]
+            if clause is None:
                 minimized.append(lit)
                 continue
-            if any(
-                abs(other) != abs(lit)
-                and not seen[abs(other)]
-                and self.level[abs(other)] > 0
-                for other in reason.literals
-            ):
-                minimized.append(lit)
+            for other in clause.literals:
+                other_var = other if other > 0 else -other
+                if other_var != var and not seen[other_var] \
+                        and level[other_var] > 0:
+                    minimized.append(lit)
+                    break
         for lit in learnt[1:]:
             seen[abs(lit)] = False
         return minimized
@@ -320,17 +357,28 @@ class Solver:
     def _bump_var(self, var: int) -> None:
         activity = self.activity[var] + self.var_inc
         self.activity[var] = activity
-        heappush(self._heap, (-activity, var))
+        # The old entry, if any, is stale now.  An assigned variable gets
+        # its new entry when a backtrack unassigns it.
+        if self.assigns[var] == 0:
+            heappush(self._heap, (-activity, var))
+            self._queued[var] = True
+        else:
+            self._queued[var] = False
         if activity > 1e100:
+            activities = self.activity
             for index in range(1, self.num_vars + 1):
-                self.activity[index] *= 1e-100
+                activities[index] *= 1e-100
             self.var_inc *= 1e-100
-            self._heap = [
-                (-self.activity[v], v)
-                for v in range(1, self.num_vars + 1)
-                if self.assigns[v] == 0
-            ]
-            self._heap.sort()
+            # Rebuild in place: one live entry per unassigned variable.
+            assigns = self.assigns
+            queued = self._queued
+            heap = self._heap
+            heap.clear()
+            for v in range(1, self.num_vars + 1):
+                queued[v] = assigns[v] == 0
+                if queued[v]:
+                    heap.append((-activities[v], v))
+            heap.sort()
 
     def _bump_clause(self, clause: _Clause) -> None:
         # O(1): rescaling is amortized onto the conflict path (see
@@ -357,47 +405,53 @@ class Solver:
     # ------------------------------------------------------------------
 
     def _backtrack(self, back_level: int) -> None:
-        if len(self.trail_lim) <= back_level:
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= back_level:
             return
-        boundary = self.trail_lim[back_level]
+        boundary = trail_lim[back_level]
+        trail = self.trail
         assigns = self.assigns
+        saved_phase = self.saved_phase
+        reason = self.reason
         heap = self._heap
+        queued = self._queued
         activity = self.activity
-        for lit in reversed(self.trail[boundary:]):
+        for lit in trail[boundary:]:
             var = lit if lit > 0 else -lit
-            self.saved_phase[var] = assigns[var]
-            assigns[var] = 0
-            self.reason[var] = None
-            heappush(heap, (-activity[var], var))
-        del self.trail[boundary:]
-        del self.trail_lim[back_level:]
-        self.queue_head = len(self.trail)
+            saved_phase[var] = assigns[var]
+            assigns[lit] = 0
+            assigns[-lit] = 0
+            reason[var] = None
+            if not queued[var]:
+                heappush(heap, (-activity[var], var))
+                queued[var] = True
+        del trail[boundary:]
+        del trail_lim[back_level:]
+        self.queue_head = len(trail)
 
     def _decide(self) -> bool:
+        """Decide the unassigned variable with the highest activity.
+
+        Returns False when every variable is assigned: by the heap
+        invariant, an empty heap leaves no unassigned variable behind.
+        """
         assigns = self.assigns
         activity = self.activity
         heap = self._heap
+        queued = self._queued
         while heap:
             neg_activity, var = heappop(heap)
-            if assigns[var] != 0 or -neg_activity != activity[var]:
+            if -neg_activity != activity[var]:
                 continue  # stale heap entry
+            queued[var] = False
+            if assigns[var] != 0:
+                continue
             self.trail_lim.append(len(self.trail))
-            lit = var if self.saved_phase[var] > 0 else -var
-            self._enqueue(lit, None)
+            self._enqueue(var if self.saved_phase[var] > 0 else -var, None)
             self.stats.decisions += 1
             if len(self.trail_lim) > self.stats.max_decision_level:
                 self.stats.max_decision_level = len(self.trail_lim)
             return True
-        # Heap exhausted: fall back to a scan for any unassigned variable.
-        for var in range(1, self.num_vars + 1):
-            if assigns[var] == 0:
-                self.trail_lim.append(len(self.trail))
-                lit = var if self.saved_phase[var] > 0 else -var
-                self._enqueue(lit, None)
-                self.stats.decisions += 1
-                if len(self.trail_lim) > self.stats.max_decision_level:
-                    self.stats.max_decision_level = len(self.trail_lim)
-                return True
         return False
 
     def _learned_limit(self) -> int:
@@ -440,8 +494,9 @@ class Solver:
         if not removed:
             return
         self.learned = survivors
-        for lit, watch_list in self.watches.items():
-            self.watches[lit] = [c for c in watch_list if id(c) not in removed]
+        for watch_list in self.watches:
+            if watch_list:
+                watch_list[:] = [c for c in watch_list if id(c) not in removed]
 
     # ------------------------------------------------------------------
     # Main loop
@@ -531,8 +586,8 @@ class Solver:
                     clause = _Clause(learnt, learned=True)
                     clause.activity = self.cla_inc
                     self.learned.append(clause)
-                    self.watches.setdefault(-learnt[0], []).append(clause)
-                    self.watches.setdefault(-learnt[1], []).append(clause)
+                    self.watches[-learnt[0]].append(clause)
+                    self.watches[-learnt[1]].append(clause)
                     self._enqueue(learnt[0], clause)
                     result.learned_clauses += 1
                     deadline.charge(bytes_=_CLAUSE_BYTES + 8 * len(learnt))

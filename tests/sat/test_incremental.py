@@ -160,6 +160,55 @@ class TestLearnedClausePersistence:
         assert cnf.check_assignment(result.model)
 
 
+def _chain_cnf(length):
+    """x1 -> x2 -> ... -> x_length, with the root unit x1 added last so
+    clause loading cannot pre-collapse the cascade."""
+    cnf = Cnf(num_vars=length)
+    for i in range(1, length):
+        cnf.add_clause([-i, i + 1])
+    cnf.add_clause([1])
+    return cnf
+
+
+class TestRootCascade:
+    def test_root_cascade_model_is_correct(self):
+        cnf = _chain_cnf(400)
+        result = IncrementalSolver(cnf).solve()
+        assert result.is_sat
+        assert cnf.check_assignment(result.model)
+        assert all(result.model[v] for v in range(1, cnf.num_vars + 1))
+
+    def test_root_cascade_matches_cold_solve(self):
+        cnf = _chain_cnf(400)
+        solver = IncrementalSolver(cnf)
+        first = solver.solve()
+        again = solver.solve()
+        cold = solve_cnf(cnf)
+        assert first.status == again.status == cold.status == "sat"
+        assert first.model == again.model == cold.model
+
+    def test_deep_root_cascade_completes(self):
+        # 512 implications deep: root propagation must run the whole
+        # cascade to its fixpoint, with no round limit cutting it short.
+        cnf = _chain_cnf(512)
+        result = IncrementalSolver(cnf).solve()
+        assert result.is_sat
+        assert all(result.model[v] for v in range(1, cnf.num_vars + 1))
+
+    def test_root_conflict_stays_certifiable(self):
+        length = 300
+        cnf = Cnf(num_vars=length)
+        for i in range(1, length):
+            cnf.add_clause([-i, i + 1])
+        cnf.add_clause([-length])
+        cnf.add_clause([1])
+        result = IncrementalSolver(cnf, log_proof=True).solve()
+        assert result.is_unsat
+        assert check_drup(
+            cnf, DrupProof.from_solver_steps(result.proof)
+        ).ok
+
+
 class TestMidSessionProofs:
     def test_every_call_proof_stands_alone(self):
         # Interleave assumption-unsat, sat, and real-unsat calls; each
