@@ -32,13 +32,12 @@ diagnostic naming the rule.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..eufm import builder
 from ..eufm.ast import Expr, Formula, Read, Term, TermVar, Write
-from ..eufm.evaluator import Interpretation, SortError, evaluate, infer_memory_sorts
+from ..eufm.evaluator import SortError, find_counterexample
 from ..eufm.polarity import classify
 from ..eufm.traversal import bool_variables, iter_dag, term_variables
 from ..encode.memory_elim import abstract_memories_conservative
@@ -410,7 +409,9 @@ def _semantic_check(
         equivalence = builder.iff(lhs, rhs)
 
     try:
-        memory_sorted = infer_memory_sorts(equivalence)
+        search = find_counterexample(
+            equivalence, domain_sizes, seeds, max_assignments
+        )
     except SortError as exc:
         diagnostics.append(Diagnostic(
             severity=ERROR,
@@ -420,76 +421,21 @@ def _semantic_check(
             message=f"ill-sorted rule instance: {exc}",
         ))
         return diagnostics
+    if search.counterexample is not None:
+        diagnostics.append(Diagnostic(
+            severity=ERROR,
+            stage="rules",
+            check="rules.unsound-rewrite",
+            subject=spec.name,
+            message=(
+                "LHS and RHS differ under a concrete interpretation; the "
+                "rewrite changes validity"
+            ),
+            data=asdict(search.counterexample),
+        ))
+        return diagnostics
 
-    value_vars = sorted(
-        {v for v in term_variables(equivalence) if v not in memory_sorted},
-        key=lambda v: v.name,
-    )
-    bool_vars = sorted(bool_variables(equivalence), key=lambda v: v.name)
-
-    checked = 0
-    truncated = False
-    for domain in domain_sizes:
-        total = (domain ** len(value_vars)) * (2 ** len(bool_vars))
-        assignments = itertools.product(
-            itertools.product(range(domain), repeat=len(value_vars)),
-            itertools.product((False, True), repeat=len(bool_vars)),
-        )
-        if total > max_assignments:
-            truncated = True
-            assignments = itertools.islice(assignments, max_assignments)
-        for term_values, bool_values in assignments:
-            for seed in seeds:
-                interp = Interpretation(
-                    domain_size=domain,
-                    seed=seed,
-                    term_values={
-                        var.name: value
-                        for var, value in zip(value_vars, term_values)
-                    },
-                    bool_values={
-                        var.name: value
-                        for var, value in zip(bool_vars, bool_values)
-                    },
-                )
-                try:
-                    equal = evaluate(equivalence, interp)
-                except SortError as exc:
-                    diagnostics.append(Diagnostic(
-                        severity=ERROR,
-                        stage="rules",
-                        check="rules.sort-mismatch",
-                        subject=spec.name,
-                        message=f"ill-sorted rule instance: {exc}",
-                    ))
-                    return diagnostics
-                checked += 1
-                if not equal:
-                    diagnostics.append(Diagnostic(
-                        severity=ERROR,
-                        stage="rules",
-                        check="rules.unsound-rewrite",
-                        subject=spec.name,
-                        message=(
-                            "LHS and RHS differ under a concrete "
-                            "interpretation; the rewrite changes validity"
-                        ),
-                        data={
-                            "domain_size": domain,
-                            "seed": seed,
-                            "term_values": {
-                                var.name: value for var, value
-                                in zip(value_vars, term_values)
-                            },
-                            "bool_values": {
-                                var.name: value for var, value
-                                in zip(bool_vars, bool_values)
-                            },
-                        },
-                    ))
-                    return diagnostics
-
-    if truncated:
+    if search.truncated:
         diagnostics.append(Diagnostic(
             severity=INFO,
             stage="rules",
@@ -506,10 +452,11 @@ def _semantic_check(
         check="rules.verified",
         subject=spec.name,
         message=(
-            f"LHS = RHS under all {checked} enumerated interpretations "
-            f"(domains {tuple(domain_sizes)}, seeds {tuple(seeds)})"
+            f"LHS = RHS under all {search.checked} enumerated "
+            f"interpretations (domains {tuple(domain_sizes)}, "
+            f"seeds {tuple(seeds)})"
         ),
-        data={"interpretations": checked},
+        data={"interpretations": search.checked},
     ))
     return diagnostics
 

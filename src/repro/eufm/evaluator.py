@@ -23,8 +23,9 @@ used by Burch & Dill.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Set, Tuple, Union
 
 from .ast import (
     Expr,
@@ -35,10 +36,19 @@ from .ast import (
     TermVar,
     Write,
 )
-from .traversal import iter_dag
+from .traversal import bool_variables, iter_dag, term_variables
 from ..guard.deadline import current_deadline
 
-__all__ = ["Interpretation", "MemVal", "evaluate", "infer_memory_sorts", "SortError"]
+__all__ = [
+    "Counterexample",
+    "Interpretation",
+    "MemVal",
+    "ModelSearch",
+    "SortError",
+    "evaluate",
+    "find_counterexample",
+    "infer_memory_sorts",
+]
 
 
 class SortError(TypeError):
@@ -222,6 +232,82 @@ def evaluate(root: Expr, interp: Interpretation) -> Value:
     for node in iter_dag(root):
         values[node] = _eval_node(node, values, interp, memory_sorted)
     return values[root]
+
+
+@dataclass
+class Counterexample:
+    """The interpretation under which a formula evaluated to false."""
+
+    domain_size: int
+    seed: int
+    term_values: Dict[str, int]
+    bool_values: Dict[str, bool]
+
+
+@dataclass
+class ModelSearch:
+    """Outcome of :func:`find_counterexample`."""
+
+    #: the first falsifying interpretation, or None when none was found.
+    counterexample: Optional[Counterexample]
+    #: interpretations evaluated (including a falsifying one).
+    checked: int
+    #: some domain's assignment space exceeded the cap, so only a
+    #: deterministic prefix of it was enumerated.
+    truncated: bool
+
+
+def find_counterexample(
+    formula: Formula,
+    domain_sizes: Sequence[int],
+    seeds: Sequence[int],
+    max_assignments: int,
+) -> ModelSearch:
+    """Search small finite models for one that falsifies ``formula``.
+
+    For each domain size, every assignment of the value-sorted term
+    variables and Boolean variables is tried (outer loop, capped at the
+    first ``max_assignments`` per domain) under every seed, which draws
+    the UF/UP tables and memory defaults (inner loop).  Stops at the
+    first interpretation under which ``formula`` is false.  Raises
+    :class:`SortError` when ``formula`` is ill-sorted.
+    """
+    memory_sorted = infer_memory_sorts(formula)
+    value_vars = sorted(
+        {v.name for v in term_variables(formula) if v not in memory_sorted}
+    )
+    bool_vars = sorted(v.name for v in bool_variables(formula))
+    checked = 0
+    truncated = False
+    for domain in domain_sizes:
+        assignments = itertools.product(
+            itertools.product(range(domain), repeat=len(value_vars)),
+            itertools.product((False, True), repeat=len(bool_vars)),
+        )
+        if domain ** len(value_vars) * 2 ** len(bool_vars) > max_assignments:
+            truncated = True
+        for term_values, bool_values in itertools.islice(
+            assignments, max_assignments
+        ):
+            term_assignment = dict(zip(value_vars, term_values))
+            bool_assignment = dict(zip(bool_vars, bool_values))
+            for seed in seeds:
+                interp = Interpretation(
+                    domain_size=domain,
+                    seed=seed,
+                    term_values=term_assignment,
+                    bool_values=bool_assignment,
+                )
+                checked += 1
+                if not evaluate(formula, interp):
+                    return ModelSearch(
+                        Counterexample(
+                            domain, seed, term_assignment, bool_assignment
+                        ),
+                        checked,
+                        truncated,
+                    )
+    return ModelSearch(None, checked, truncated)
 
 
 def _eval_node(

@@ -4,11 +4,13 @@ The CDCL solver (:class:`repro.sat.Solver`) plays the role of the Chaff
 SAT-checker in the paper's tool flow: the negated, propositionally encoded
 correctness formula is proved unsatisfiable here.
 
-On top of the one-shot solver sit the incremental layer
-(:mod:`repro.sat.incremental`: assumption-based ``solve`` with learned
-clauses persisting across calls, plus a digest-keyed session pool) and
-the pluggable backend protocol (:mod:`repro.sat.backend`: the in-tree
-CDCL as reference, optional python-sat / DIMACS-subprocess adapters).
+The solver is incremental: ``Solver.solve`` can be called repeatedly,
+optionally under assumptions, with learned clauses persisting across
+calls, and a cold solve is the first such call.  On top of it sit the
+digest-keyed session pool (:mod:`repro.sat.incremental`), which keeps
+solvers alive across campaign jobs, and the pluggable backend protocol
+(:mod:`repro.sat.backend`: the in-tree CDCL as reference, optional
+python-sat / DIMACS-subprocess adapters).
 """
 
 from .backend import (
@@ -24,8 +26,6 @@ from .backend import (
 )
 from .cnf import Cnf, parse_dimacs, to_dimacs
 from .incremental import (
-    IncrementalSolver,
-    SatSession,
     SessionPool,
     cnf_digest,
     current_session_pool,
@@ -46,8 +46,6 @@ __all__ = [
     "TseitinResult",
     "cnf_for_satisfiability",
     "tseitin",
-    "IncrementalSolver",
-    "SatSession",
     "SessionPool",
     "cnf_digest",
     "current_session_pool",

@@ -44,8 +44,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type, Union
 from ..errors import SolverError
 from ..obs.tracer import current_tracer
 from .cnf import Cnf, to_dimacs
-from .solver import SatResult
-from .solver import solve_cnf as _reference_solve_cnf
+from .solver import SatResult, Solver
 
 __all__ = [
     "SatBackend",
@@ -125,10 +124,8 @@ class SatBackend(ABC):
 class ReferenceBackend(SatBackend):
     """The in-tree CDCL solver — always available, proofs and assumptions.
 
-    The incremental handle wraps :class:`repro.sat.incremental.\
-    IncrementalSolver`; the one-shot :meth:`solve_cnf` path delegates to
-    the classic :func:`repro.sat.solver.solve_cnf` so default behaviour
-    (and the perf-smoke baseline counters) stay byte-identical.
+    The handle wraps one :class:`repro.sat.solver.Solver`, built on the
+    first ``solve`` over the clauses added so far.
     """
 
     name = "reference"
@@ -157,13 +154,8 @@ class ReferenceBackend(SatBackend):
         max_seconds: Optional[float] = None,
         assumptions: Sequence[int] = (),
     ) -> SatResult:
-        # Imported here to avoid a cycle (incremental imports solver).
-        from .incremental import IncrementalSolver
-
         if self._solver is None:
-            self._solver = IncrementalSolver(
-                self._cnf, log_proof=self._log_proof
-            )
+            self._solver = Solver(self._cnf, log_proof=self._log_proof)
         result = self._solver.solve(
             max_conflicts=max_conflicts,
             max_seconds=max_seconds,
@@ -171,21 +163,6 @@ class ReferenceBackend(SatBackend):
         )
         self._last_result = result
         return result
-
-    @classmethod
-    def solve_cnf(
-        cls,
-        cnf: Cnf,
-        max_conflicts: Optional[int] = None,
-        max_seconds: Optional[float] = None,
-        log_proof: bool = False,
-    ) -> SatResult:
-        return _reference_solve_cnf(
-            cnf,
-            max_conflicts=max_conflicts,
-            max_seconds=max_seconds,
-            log_proof=log_proof,
-        )
 
 
 class PySatBackend(SatBackend):

@@ -25,6 +25,21 @@ it has none.  Invariant: every unassigned variable has a live entry.
 The next decision is therefore the unassigned variable with the least
 ``(-activity, var)`` however the heap is laid out.
 
+Incremental solving: :meth:`Solver.solve` can be called repeatedly, in
+the MiniSat style, optionally under ``assumptions``.  Learned clauses,
+variable activities and saved phases persist across calls, and a cold
+solve is simply the first call with no assumptions.  Each call starts by
+backtracking to the root (a no-op on a fresh solver) and leaves its
+trail where the search stopped.  Assumptions are installed as
+pseudo-decisions at levels ``1..m`` (one level per assumption, with
+empty levels for assumptions already true, so *assumption index ==
+decision level*), and the CDCL search runs unchanged above them.  When
+an assumption is falsified the call returns ``"unsat"`` with
+:attr:`SatResult.core` naming the responsible subset of the assumptions
+(MiniSat's ``analyzeFinal`` reason-cone walk).  Only real
+unsatisfiability latches :attr:`Solver.ok` to False; a failed
+assumption is a property of the call, not of the CNF.
+
 Proof logging (``log_proof=True``): the solver records a DRUP clause
 proof — every learned clause (post-minimization, including learned
 units), every learned-clause deletion of :meth:`Solver._reduce_learned`,
@@ -34,6 +49,28 @@ propagation loop is untouched either way; only the (comparatively rare)
 conflict-analysis and clause-deletion paths test the flag.  The proof is
 validated by the *independent* reverse-unit-propagation checker in
 :mod:`repro.witness.drup`, which shares no code with this module.
+
+DRUP soundness across calls.  Learned clauses are resolvents of
+database clauses only: assumptions enter the trail as reasonless
+decisions, so first-UIP analysis can never resolve on them — they appear
+*in* learnt clauses as ordinary literals but contribute no clauses to
+the resolution.  Every learnt clause is therefore implied by the CNF
+alone and lives in one shared, append-only journal (``self._proof``:
+learned additions plus the deletions of :meth:`Solver._reduce_learned`).
+Each call's :attr:`SatResult.proof` is a *copy* of that journal plus a
+per-call tail:
+
+* real UNSAT (level-0 conflict): ``journal + [("a", ())]`` — checkable
+  against the original CNF;
+* UNSAT under assumptions: ``journal + [("a", core_clause), ("a", ())]``
+  — checkable against the CNF *plus one unit clause per assumption*
+  (:func:`repro.witness.drup.cnf_with_assumptions`).  The core clause is
+  reverse-unit-propagation derivable because it mirrors the propagation
+  cone that falsified the assumption; the empty clause then follows from
+  the assumption units.
+
+Reverse unit propagation is monotone under clause addition, so journal
+entries recorded in earlier calls stay valid in every later view.
 """
 
 from __future__ import annotations
@@ -41,7 +78,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SolverError
 from ..guard.deadline import current_deadline
@@ -135,7 +172,10 @@ class Solver:
         self.var_decay = 0.95
         self.cla_inc = 1.0
         self.cla_decay = 0.999
+        #: False once the CNF itself is proved unsatisfiable (latched;
+        #: never set by failed assumptions).
         self.ok = True
+        #: counters of the current (or last) call; replaced per call.
         self.stats = SatResult(status="unknown")
         #: amortized clause-activity rescales performed (see
         #: :meth:`_rescale_clause_activities`); exposed for regression
@@ -499,6 +539,25 @@ class Solver:
                 watch_list[:] = [c for c in watch_list if id(c) not in removed]
 
     # ------------------------------------------------------------------
+    # Incremental clause addition
+    # ------------------------------------------------------------------
+
+    def add_clause(self, literals: Sequence[int]) -> bool:
+        """Add a problem clause between calls.
+
+        Returns False (and latches the instance unsat) when the clause
+        is falsified at the root.  Callers certifying proofs must hand
+        the checker the extended CNF.
+        """
+        if not self.ok:
+            return False
+        self._backtrack(0)
+        if not self._add_clause(list(literals)):
+            self.ok = False
+            return False
+        return True
+
+    # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
 
@@ -506,14 +565,16 @@ class Solver:
         self,
         max_conflicts: Optional[int] = None,
         max_seconds: Optional[float] = None,
+        assumptions: Sequence[int] = (),
     ) -> SatResult:
-        """Run the solver, optionally bounded by conflicts or wall time.
+        """One call, optionally bounded by conflicts or wall time and
+        optionally under ``assumptions`` (see the module docstring).
 
-        The run is recorded as a ``"sat"`` span (with the full counter set)
-        on the ambient tracer; a no-op unless one is installed.
+        The call is recorded as a ``"sat"`` span (with the full counter
+        set) on the ambient tracer; a no-op unless one is installed.
         """
         with current_tracer().span("sat") as span:
-            result = self._run(max_conflicts, max_seconds)
+            result = self._run(tuple(assumptions), max_conflicts, max_seconds)
             span.add("sat.variables", self.num_vars)
             span.add("sat.clauses", len(self.clauses))
             span.add("sat.decisions", result.decisions)
@@ -528,21 +589,29 @@ class Solver:
 
     def _run(
         self,
+        assumptions: Tuple[int, ...],
         max_conflicts: Optional[int],
         max_seconds: Optional[float],
     ) -> SatResult:
         start = time.perf_counter()
-        result = self.stats
+        for lit in assumptions:
+            if lit == 0 or abs(lit) > self.num_vars:
+                raise SolverError(
+                    f"assumption literal {lit} is outside the variable "
+                    f"range 1..{self.num_vars}"
+                )
+        # _propagate and _decide count into self.stats: a fresh result
+        # per call keeps every earlier result's counters its own.
+        self.stats = result = SatResult(status="unknown")
         if not self.ok:
-            # An input clause was already falsified by the input units
-            # alone; the empty clause is reverse-unit-propagation
-            # derivable directly from the original CNF.
-            if self._proof is not None:
-                self._proof.append(("a", ()))
-                result.proof = self._proof
+            # Latched real unsatisfiability (an input clause falsified
+            # by the input units, or an earlier call's root conflict):
+            # the empty clause is RUP from the CNF plus the journal.
             result.status = "unsat"
+            result.proof = self._proof_view((("a", ()),))
             result.cpu_seconds = time.perf_counter() - start
             return result
+        self._backtrack(0)
 
         restart_base = 100
         luby_index = 1
@@ -568,9 +637,11 @@ class Solver:
                 result.conflicts += 1
                 conflicts_since_restart += 1
                 if not self.trail_lim:
-                    if self._proof is not None:
-                        self._proof.append(("a", ()))
+                    # Conflict below every assumption: the CNF itself is
+                    # unsatisfiable.  Latch it.
+                    self.ok = False
                     result.status = "unsat"
+                    result.proof = self._proof_view((("a", ()),))
                     break
                 learnt, back_level = self._analyze(conflict)
                 self._backtrack(back_level)
@@ -578,9 +649,9 @@ class Solver:
                     self._proof.append(("a", tuple(learnt)))
                 if len(learnt) == 1:
                     if not self._enqueue(learnt[0], None):
-                        if self._proof is not None:
-                            self._proof.append(("a", ()))
+                        self.ok = False
                         result.status = "unsat"
+                        result.proof = self._proof_view((("a", ()),))
                         break
                 else:
                     clause = _Clause(learnt, learned=True)
@@ -613,6 +684,40 @@ class Solver:
                 self._reduce_learned()
                 continue
 
+            # Install the next pending assumption (assumption index ==
+            # decision level; restarts/backjumps pop them, this loop
+            # reinstalls from wherever the trail now stands).
+            installed = False
+            failed: Optional[int] = None
+            while len(self.trail_lim) < len(assumptions):
+                deadline.tick("sat")
+                lit = assumptions[len(self.trail_lim)]
+                value = self.assigns[lit]
+                if value > 0:
+                    # Already true: burn an empty level to keep the
+                    # index == level correspondence.
+                    self.trail_lim.append(len(self.trail))
+                    continue
+                if value < 0:
+                    failed = lit
+                    break
+                self.trail_lim.append(len(self.trail))
+                self._enqueue(lit, None)
+                if len(self.trail_lim) > result.max_decision_level:
+                    result.max_decision_level = len(self.trail_lim)
+                installed = True
+                break
+            if failed is not None:
+                core_clause = tuple(self._final_conflict(failed))
+                result.status = "unsat"
+                result.core = tuple(-l for l in core_clause)
+                result.proof = self._proof_view(
+                    (("a", core_clause), ("a", ()))
+                )
+                break
+            if installed:
+                continue
+
             if not self._decide():
                 result.status = "sat"
                 result.model = {
@@ -622,9 +727,45 @@ class Solver:
                 }
                 break
 
+        if result.proof is None:
+            result.proof = self._proof_view(())
         result.cpu_seconds = time.perf_counter() - start
-        result.proof = self._proof
         return result
+
+    def _proof_view(
+        self, tail: Sequence[Tuple[str, Tuple[int, ...]]]
+    ) -> Optional[List[Tuple[str, Tuple[int, ...]]]]:
+        """A per-call snapshot: shared journal copy + call-specific tail.
+
+        The journal itself stays shared and append-only; handing out
+        copies keeps earlier results immune to later calls.
+        """
+        if self._proof is None:
+            return None
+        return list(self._proof) + list(tail)
+
+    def _final_conflict(self, failed: int) -> List[int]:
+        """MiniSat ``analyzeFinal``: the clause of negated assumptions
+        whose conjunction forced ``failed`` (a currently-false
+        assumption literal) — i.e. the failure core, as a clause."""
+        out = [-failed]
+        if not self.trail_lim:
+            return out
+        seen = {failed if failed > 0 else -failed}
+        for lit in reversed(self.trail[self.trail_lim[0]:]):
+            var = lit if lit > 0 else -lit
+            if var not in seen:
+                continue
+            seen.discard(var)
+            reason = self.reason[var]
+            if reason is None:
+                out.append(-lit)
+            else:
+                for other in reason.literals:
+                    other_var = other if other > 0 else -other
+                    if other_var != var and self.level[other_var] > 0:
+                        seen.add(other_var)
+        return out
 
 
 def _luby(index: int) -> int:

@@ -40,7 +40,7 @@ rule set terminates.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice, product
+from dataclasses import asdict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.diagnostics import ERROR, INFO, WARNING, Diagnostic
@@ -61,8 +61,8 @@ from ..eufm.ast import (
     UPApp,
     Write,
 )
-from ..eufm.evaluator import Interpretation, SortError, evaluate, infer_memory_sorts
-from ..eufm.traversal import bool_variables, iter_dag, term_variables
+from ..eufm.evaluator import SortError, find_counterexample
+from ..eufm.traversal import iter_dag
 from .engine import STAGE, CheckerSpec, register_checker
 
 __all__ = [
@@ -262,45 +262,13 @@ def _semantically_equal(
     equivalence = (builder.eq(left, right) if left.is_term()
                    else builder.iff(left, right))
     try:
-        memory_sorted = infer_memory_sorts(equivalence)
+        search = find_counterexample(
+            equivalence, domain_sizes, seeds, max_assignments
+        )
     except SortError as exc:
         return False, {"reason": f"ill-sorted: {exc}"}
-    value_vars = sorted(
-        {v for v in term_variables(equivalence) if v not in memory_sorted},
-        key=lambda v: v.name,
-    )
-    bool_vars = sorted(bool_variables(equivalence), key=lambda v: v.name)
-    for domain in domain_sizes:
-        assignments = product(
-            product(range(domain), repeat=len(value_vars)),
-            product((False, True), repeat=len(bool_vars)),
-        )
-        for term_values, bool_values in islice(assignments, max_assignments):
-            term_assignment = {
-                var.name: value
-                for var, value in zip(value_vars, term_values)
-            }
-            bool_assignment = {
-                var.name: value
-                for var, value in zip(bool_vars, bool_values)
-            }
-            for seed in seeds:
-                interp = Interpretation(
-                    domain_size=domain,
-                    seed=seed,
-                    term_values=term_assignment,
-                    bool_values=bool_assignment,
-                )
-                try:
-                    if not evaluate(equivalence, interp):
-                        return False, {
-                            "domain_size": domain,
-                            "seed": seed,
-                            "term_values": dict(term_assignment),
-                            "bool_values": dict(bool_assignment),
-                        }
-                except SortError as exc:
-                    return False, {"reason": f"ill-sorted: {exc}"}
+    if search.counterexample is not None:
+        return False, asdict(search.counterexample)
     return True, None
 
 

