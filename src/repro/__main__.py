@@ -58,11 +58,9 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .campaign.args import add_config_flags, jobs_from_args
 from .core import verify
 from .errors import AnalysisError, BudgetExhausted, ReproError
-from .processor.bugs import Bug, BugKind
-from .processor.families import family_names
-from .processor.params import ProcessorConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,93 +72,13 @@ def build_parser() -> argparse.ArgumentParser:
             "'campaign' subcommand for crash-safe batches."
         ),
     )
-    parser.add_argument(
-        "--rob", type=int, default=16, help="reorder-buffer size N (default 16)"
-    )
-    parser.add_argument(
-        "--width", type=int, default=4, help="issue width k (default 4)"
-    )
-    parser.add_argument(
-        "--retire-width",
-        type=int,
-        default=None,
-        help="retire width l (default: same as the issue width)",
-    )
-    parser.add_argument(
-        "--family",
-        choices=family_names(),
-        default="reg-reg",
-        help=(
-            "workload family: reg-reg (the seed register-register model), "
-            "branch (speculative branches with misprediction recovery), "
-            "mem (loads/stores with store-to-load forwarding), or mixed "
-            "(both); default reg-reg"
-        ),
-    )
-    parser.add_argument(
-        "--method",
-        choices=("rewriting", "positive_equality"),
-        default="rewriting",
-        help="verification method (default: rewriting)",
-    )
-    parser.add_argument(
-        "--criterion",
-        choices=("disjunction", "case_split"),
-        default="disjunction",
-        help="correctness criterion (default: the paper's disjunction)",
-    )
-    parser.add_argument(
-        "--bug",
-        choices=BugKind.ALL,
-        default=None,
-        help="plant a defect before verifying",
-    )
-    parser.add_argument(
-        "--entry", type=int, default=1, help="ROB entry the defect applies to"
-    )
-    parser.add_argument(
-        "--operand",
-        type=int,
-        choices=(1, 2),
-        default=1,
-        help="data operand the defect applies to",
-    )
-    parser.add_argument(
-        "--max-conflicts",
-        type=int,
-        default=None,
-        metavar="N",
-        help="abort when the SAT solver exceeds this many conflicts",
-    )
-    parser.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="abort when SAT solving exceeds this wall-clock budget",
-    )
+    add_config_flags(parser)
     parser.add_argument(
         "--sat-budget",
         type=float,
         default=None,
         metavar="SECONDS",
         help="deprecated alias for --max-seconds",
-    )
-    parser.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="pipeline-wide wall-clock deadline, enforced at every stage "
-        "(simulation, rewriting, encoding, SAT, witness) — unlike "
-        "--max-seconds, which only the SAT solver honors",
-    )
-    parser.add_argument(
-        "--max-memory",
-        type=float,
-        default=None,
-        metavar="MB",
-        help="memory budget for the whole run, in MiB",
     )
     parser.add_argument(
         "--analyze",
@@ -182,17 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
             "certify the verdict: check a DRUP proof for correct designs, "
             "replay + minimize the counterexample for buggy ones; exit "
             "with status 3 when the witness fails validation"
-        ),
-    )
-    parser.add_argument(
-        "--sat-backend",
-        default=None,
-        metavar="NAME",
-        help=(
-            "SAT backend: reference (in-tree CDCL, default), pysat, "
-            "dimacs (solver binary on $PATH), or auto; verdicts are "
-            "backend-independent, and certifying runs fall back to the "
-            "reference when the backend cannot log DRUP proofs"
         ),
     )
     return parser
@@ -247,28 +154,16 @@ def main(argv=None) -> int:
 
         return witness_main(argv[1:])
     args = build_parser().parse_args(argv)
-    config = ProcessorConfig(
-        n_rob=args.rob,
-        issue_width=args.width,
-        retire_width=args.retire_width,
-        family=args.family,
-    )
-    bug = None
-    if args.bug is not None:
-        bug = Bug(args.bug, entry=args.entry, operand=args.operand)
-        print(f"Planted defect: {bug.describe()}")
-    max_seconds = args.max_seconds if args.max_seconds is not None \
-        else args.sat_budget
+    if args.max_seconds is None:
+        args.max_seconds = args.sat_budget
+    (job,) = jobs_from_args(args)
     try:
+        run = job.verify_kwargs()
+        if run["bug"] is not None:
+            print(f"Planted defect: {run['bug'].describe()}")
         result = verify(
-            config,
-            method=args.method,
-            bug=bug,
-            criterion=args.criterion,
-            max_conflicts=args.max_conflicts,
-            max_seconds=max_seconds,
-            max_wall_seconds=args.deadline,
-            max_memory_mb=args.max_memory,
+            job.config(),
+            **run,
             analyze=args.analyze or args.strict,
             strict=args.strict,
             certify=args.certify,

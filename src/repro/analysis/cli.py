@@ -25,9 +25,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
+from ..campaign.args import parse_grid
+from ..core.verifier import METHODS
 from ..errors import ReproError
+from ..processor.correctness import CRITERIA
 from ..processor.params import ProcessorConfig
 from .diagnostics import ERROR, WARNING
 from .pipeline import AnalysisReport, build_report
@@ -55,13 +58,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--method",
-        choices=("rewriting", "positive_equality", "both"),
+        choices=METHODS + ("both",),
         default="both",
         help="verification method(s) to audit (default: both)",
     )
     parser.add_argument(
         "--criterion",
-        choices=("disjunction", "case_split"),
+        choices=CRITERIA,
         default="disjunction",
         help="correctness criterion (default: disjunction)",
     )
@@ -88,31 +91,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_grid(grid: str) -> List[ProcessorConfig]:
-    configs: List[ProcessorConfig] = []
-    for chunk in grid.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            n_text, k_text = chunk.lower().split("x", 1)
-            configs.append(
-                ProcessorConfig(n_rob=int(n_text), issue_width=int(k_text))
-            )
-        except ValueError as exc:
-            raise ReproError(
-                f"bad --grid entry {chunk!r}; expected the form NxK "
-                f"(e.g. 3x2): {exc}"
-            )
-    return configs
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        configs = [] if args.rules_only else _parse_grid(args.grid)
+        configs = [] if args.rules_only else [
+            ProcessorConfig(n_rob=n_rob, issue_width=width)
+            for n_rob, width in parse_grid(args.grid)
+        ]
         if args.method == "both":
-            methods: Sequence[str] = ("rewriting", "positive_equality")
+            methods: Sequence[str] = METHODS
         else:
             methods = (args.method,)
         report = build_report(
@@ -121,7 +108,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             criterion=args.criterion,
             check_rules=not args.no_rules,
         )
-    except ReproError as exc:
+    except (ReproError, ValueError) as exc:
         print(f"lint failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -5,7 +5,9 @@ Job sources (combine freely; at least one is required unless resuming):
 * ``--spec jobs.json`` — a JSON list of job dicts
   (see :meth:`repro.campaign.jobs.Job.to_dict`);
 * ``--grid "8x2,16x4"`` — generate one job per ``NxK`` configuration
-  using the shared ``--method``/``--criterion``/``--bug`` options;
+  using the shared run-spec flags (``--family``, ``--method``,
+  ``--criterion``, ``--bug``/``--entry``/``--operand`` and the budgets;
+  see :mod:`repro.campaign.args`);
 * neither — resume the jobs recorded in the journal.
 
 The journal (``--journal``) makes the campaign crash-safe: re-running the
@@ -36,11 +38,16 @@ import sys
 from typing import List, Optional
 
 from ..errors import CampaignError, JournalError, SolverError
-from ..processor.bugs import BugKind
-from ..processor.families import family_names
+from .args import (
+    add_job_flags,
+    add_policy_flags,
+    jobs_from_args,
+    parse_grid,
+    policies_from_args,
+)
 from .faults import Fault, FaultPlan
 from .jobs import Job
-from .runner import CampaignRunner, DegradePolicy, RetryPolicy
+from .runner import CampaignRunner
 
 __all__ = ["build_parser", "main"]
 
@@ -69,84 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N1xK1,N2xK2,...",
         help="generate jobs for the given ROB-size x issue-width configs",
     )
-    parser.add_argument(
-        "--method",
-        choices=("rewriting", "positive_equality"),
-        default="rewriting",
-        help="method for --grid jobs (default: rewriting)",
-    )
-    parser.add_argument(
-        "--criterion",
-        choices=("disjunction", "case_split"),
-        default="disjunction",
-        help="correctness criterion for --grid jobs",
-    )
-    parser.add_argument(
-        "--family",
-        choices=family_names(),
-        default="reg-reg",
-        help="workload family for --grid jobs (default: reg-reg)",
-    )
-    parser.add_argument(
-        "--bug",
-        choices=BugKind.ALL,
-        default=None,
-        help="plant this defect in every --grid job",
-    )
-    parser.add_argument(
-        "--entry", type=int, default=1, help="ROB entry for --bug"
-    )
-    parser.add_argument(
-        "--max-conflicts",
-        type=int,
-        default=None,
-        metavar="N",
-        help="base per-attempt conflict budget (escalated on retries)",
-    )
-    parser.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        metavar="S",
-        help="base per-attempt wall-clock budget (escalated on retries)",
-    )
-    parser.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="S",
-        help="base per-attempt pipeline-wide deadline in seconds, "
-        "enforced at every stage and escalated on retries "
-        "(unlike --max-seconds, which only the SAT solver honors)",
-    )
-    parser.add_argument(
-        "--max-memory",
-        type=float,
-        default=None,
-        metavar="MB",
-        help="base per-attempt memory budget in MiB (escalated on "
-        "retries); exhaustion is retried like the paper's 4 GB kills",
-    )
-    parser.add_argument(
-        "--max-attempts",
-        type=int,
-        default=3,
-        metavar="A",
-        help="attempts per method before degrading (default 3)",
-    )
-    parser.add_argument(
-        "--escalation",
-        type=float,
-        default=2.0,
-        metavar="F",
-        help="budget multiplier between attempts (default 2.0)",
-    )
-    parser.add_argument(
-        "--no-degrade",
-        action="store_true",
-        help="record INCONCLUSIVE instead of falling back to "
-        "positive_equality when rewriting exhausts its retries",
-    )
+    add_job_flags(parser)
+    add_policy_flags(parser)
     parser.add_argument(
         "--fresh",
         action="store_true",
@@ -180,30 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
         "single journal writer",
     )
     parser.add_argument(
-        "--sat-backend",
-        default=None,
-        metavar="NAME",
-        help="SAT backend for every verification: reference (in-tree "
-        "CDCL, default), pysat, dimacs, or auto (first available); "
-        "verdicts are backend-independent by contract",
-    )
-    parser.add_argument(
-        "--no-incremental-sat",
-        action="store_true",
-        help="solve every CNF cold instead of resuming same-digest SAT "
-        "sessions (learned clauses, activities) across jobs and retries",
-    )
-    parser.add_argument(
-        "--breaker",
-        type=int,
-        default=None,
-        metavar="K",
-        help="open a per-config-group circuit (same method/criterion/"
-        "width/workload family) after K consecutive INCONCLUSIVE "
-        "results; the group's remaining jobs short-circuit instead of "
-        "burning their budgets (default: off)",
-    )
-    parser.add_argument(
         "--hang-timeout",
         type=float,
         default=30.0,
@@ -235,24 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_grid(grid: str) -> List[tuple]:
-    configs = []
-    for chunk in grid.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            n_text, k_text = chunk.lower().split("x", 1)
-            configs.append((int(n_text), int(k_text)))
-        except ValueError:
-            raise CampaignError(
-                f"bad --grid entry {chunk!r}; expected the form NxK (e.g. 8x2)"
-            )
-    if not configs:
-        raise CampaignError("--grid names no configurations")
-    return configs
-
-
 def _collect_jobs(args: argparse.Namespace) -> Optional[List[Job]]:
     jobs: List[Job] = []
     if args.spec:
@@ -264,22 +153,7 @@ def _collect_jobs(args: argparse.Namespace) -> Optional[List[Job]]:
             )
         jobs.extend(Job.from_dict(item) for item in payload)
     if args.grid:
-        for n_rob, width in _parse_grid(args.grid):
-            jobs.append(
-                Job.build(
-                    n_rob,
-                    width,
-                    family=args.family,
-                    method=args.method,
-                    criterion=args.criterion,
-                    bug_kind=args.bug,
-                    bug_entry=args.entry,
-                    max_conflicts=args.max_conflicts,
-                    max_seconds=args.max_seconds,
-                    max_wall_seconds=args.deadline,
-                    max_memory_mb=args.max_memory,
-                )
-            )
+        jobs.extend(jobs_from_args(args, parse_grid(args.grid)))
     return jobs or None
 
 
@@ -293,21 +167,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         fault_plan = None
         if args.inject:
             fault_plan = FaultPlan(Fault.parse(text) for text in args.inject)
+        retry, degrade = policies_from_args(args)
         runner = CampaignRunner(
             args.journal,
-            retry=RetryPolicy(
-                max_attempts=args.max_attempts,
-                escalation=args.escalation,
-                base_conflicts=args.max_conflicts
-                if args.max_conflicts is not None
-                else RetryPolicy.base_conflicts,
-                base_seconds=args.max_seconds,
-                base_wall_seconds=args.deadline,
-                base_memory_mb=args.max_memory,
-            ),
-            degrade=DegradePolicy(
-                fallback_method=None if args.no_degrade else "positive_equality"
-            ),
+            retry=retry,
+            degrade=degrade,
             fault_plan=fault_plan,
             log=log,
             strict_journal=args.strict_journal,

@@ -20,20 +20,39 @@ single-writer invariant — and the fault degrades to a plain crash.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from typing import Callable, Dict, List, Optional, Tuple
+from contextlib import ExitStack, contextmanager, nullcontext
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import BudgetExhausted, ReproError
-from ..guard.deadline import current_deadline, use_deadline
+from ..guard.deadline import Deadline, current_deadline, use_deadline
 from ..guard.memory import MemoryBudget
+from ..obs.tracer import Tracer, use_tracer
+from ..sat.backend import resolve_backend, use_backend
+from ..sat.incremental import SessionPool, use_session_pool
 from .faults import FaultPlan
 from .jobs import Job, JobResult
 from .journal import Journal
 
-__all__ = ["JobExecutor"]
+__all__ = ["JobExecutor", "batch_ambient"]
 
 #: Event dict sink; receives exactly what the journal would record.
 EmitFn = Callable[[Dict[str, object]], None]
+
+
+@contextmanager
+def batch_ambient(
+    sat_backend: Optional[str], incremental_sat: bool
+) -> Iterator[None]:
+    """One backend selection and one live session pool for a process's
+    whole batch: same-digest CNFs across jobs (and across a job's
+    escalation retries) resume incrementally.  Installed once, outside
+    the job loop — the pool only pays off if it outlives each job."""
+    with ExitStack() as ambient:
+        if sat_backend is not None:
+            ambient.enter_context(use_backend(resolve_backend(sat_backend)))
+        if incremental_sat:
+            ambient.enter_context(use_session_pool(SessionPool()))
+        yield
 
 
 class JobExecutor:
@@ -60,6 +79,29 @@ class JobExecutor:
         self.fault_journal = fault_journal
 
     # ------------------------------------------------------------------
+
+    def run_traced(
+        self,
+        job: Job,
+        emit: EmitFn,
+        failed_attempts: Dict[Tuple[str, str], int],
+        deadline: Deadline,
+    ) -> Tuple[JobResult, Dict[str, float]]:
+        """:meth:`run_job` under ``deadline`` and a fresh tracer's
+        ``campaign.job`` span; also returns the job's ``campaign.*``
+        metrics.  ``deadline`` has no budgets of its own: it is the
+        anchor ``slow`` faults attach to and the parent the attempt
+        budgets derive from (a worker's carries its heartbeat)."""
+        tracer = Tracer()
+        with use_deadline(deadline), use_tracer(tracer):
+            with tracer.span("campaign.job"):
+                result = self.run_job(job, emit, failed_attempts)
+        span = tracer.root
+        return result, {
+            "campaign.jobs_run": 1.0,
+            "campaign.job_seconds": span.wall_seconds,
+            "campaign.job_cpu_seconds": span.cpu_seconds,
+        }
 
     def run_job(
         self,

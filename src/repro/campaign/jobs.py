@@ -65,6 +65,19 @@ class Job:
             return None
         return Bug(self.bug_kind, entry=self.bug_entry, operand=self.bug_operand)
 
+    def verify_kwargs(self) -> Dict[str, Any]:
+        """The keyword arguments of :func:`repro.core.verify` that run this
+        job once at its base budgets (besides :meth:`config`)."""
+        return {
+            "method": self.method,
+            "bug": self.bug(),
+            "criterion": self.criterion,
+            "max_conflicts": self.max_conflicts,
+            "max_seconds": self.max_seconds,
+            "max_wall_seconds": self.max_wall_seconds,
+            "max_memory_mb": self.max_memory_mb,
+        }
+
     def breaker_key(self) -> str:
         """Config-sibling key for the circuit breaker.
 

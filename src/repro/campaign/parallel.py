@@ -53,7 +53,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import CampaignError
 from ..guard.breaker import CircuitBreaker
-from .executor import JobExecutor
+from .executor import JobExecutor, batch_ambient
 from .faults import Fault, FaultPlan, InjectedCrash
 from .jobs import Job, JobResult
 from .journal import Journal
@@ -90,26 +90,13 @@ def _worker_main(
     worker_id: int, inbox: Any, outbox: Any, options: Dict[str, Any]
 ) -> None:
     """Worker entry: install per-process ambients, then pull job tasks."""
-    from contextlib import ExitStack
-
-    from ..sat.backend import resolve_backend, use_backend
-    from ..sat.incremental import SessionPool, use_session_pool
-
     verify_fn = options.get("verify_fn")
     if verify_fn is None:
         from ..core.verifier import verify as verify_fn
 
-    with ExitStack() as ambient:
-        # Backend selection and the incremental session pool are
-        # per-process state, installed once OUTSIDE the task loop: the
-        # pool only pays off if it survives from one job to the next.
-        backend_name = options.get("sat_backend")
-        if backend_name is not None:
-            ambient.enter_context(
-                use_backend(resolve_backend(backend_name))
-            )
-        if options.get("incremental_sat", True):
-            ambient.enter_context(use_session_pool(SessionPool()))
+    with batch_ambient(
+        options.get("sat_backend"), options.get("incremental_sat", True)
+    ):
         _worker_loop(worker_id, inbox, outbox, options, verify_fn)
 
 
@@ -121,8 +108,7 @@ def _worker_loop(
     verify_fn: Callable,
 ) -> None:
     """Pull job tasks until the ``None`` shutdown sentinel."""
-    from ..guard.deadline import Deadline, use_deadline
-    from ..obs.tracer import Tracer, use_tracer
+    from ..guard.deadline import Deadline
 
     while True:
         task = inbox.get()
@@ -145,9 +131,6 @@ def _worker_loop(
             # Workers never hold the journal: the single-writer invariant.
             fault_journal=None,
         )
-        # A fresh ambient tracer per process: the obs ContextVar is
-        # per-process state, so worker spans never mix with the parent's.
-        tracer = Tracer()
         # The heartbeat deadline (no budgets of its own): every deadline
         # check site anywhere in the pipeline now doubles as a liveness
         # beat to the parent, throttled to one per heartbeat_interval.
@@ -164,22 +147,17 @@ def _worker_loop(
             heartbeat_interval=options.get("heartbeat_interval", 1.0),
         )
         try:
-            with use_deadline(heartbeat), use_tracer(tracer):
-                with tracer.span("campaign.job"):
-                    result = executor.run_job(job, outbox.put, failed_attempts)
+            result, metrics = executor.run_traced(
+                job, outbox.put, failed_attempts, heartbeat
+            )
         except InjectedCrash:
             os._exit(_CRASH_EXIT_CODE)
         result.worker = worker_id
-        span = tracer.root
         outbox.put({
             "event": "done",
             "job_id": job.job_id,
             "result": result.to_dict(),
-            "worker_metrics": {
-                "campaign.jobs_run": 1.0,
-                "campaign.job_seconds": span.wall_seconds,
-                "campaign.job_cpu_seconds": span.cpu_seconds,
-            },
+            "worker_metrics": metrics,
         })
 
 

@@ -34,18 +34,15 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import CampaignError
 from ..guard.breaker import SHORT_CIRCUIT_PREFIX, CircuitBreaker
-from ..guard.deadline import Deadline, use_deadline
+from ..guard.deadline import Deadline
 from ..obs.metrics import MetricsRegistry
-from ..obs.tracer import Tracer, use_tracer
-from ..sat.backend import resolve_backend, use_backend
-from ..sat.incremental import SessionPool, use_session_pool
-from .executor import JobExecutor
+from ..sat.backend import resolve_backend
+from .executor import JobExecutor, batch_ambient
 from .faults import FaultPlan
 from .jobs import Job, JobResult
 from .journal import Journal
@@ -83,24 +80,33 @@ class RetryPolicy:
         if self.escalation < 1.0:
             raise CampaignError("escalation factor must be >= 1")
 
+    def _escalated(
+        self,
+        job_base: Optional[float],
+        policy_base: Optional[float],
+        cap: Optional[float],
+        attempt: int,
+    ) -> Optional[float]:
+        """The one escalation rule: the job's base, else the policy's,
+        times ``escalation**(attempt - 1)``, then capped; ``None`` when
+        both bases are unset."""
+        base = job_base if job_base is not None else policy_base
+        if base is None:
+            return None
+        value = base * self.escalation ** (attempt - 1)
+        return value if cap is None else min(value, cap)
+
     def budget_for(
         self, job: Job, attempt: int
     ) -> Tuple[Optional[int], Optional[float]]:
         """The (max_conflicts, max_seconds) budget of one attempt."""
-        factor = self.escalation ** (attempt - 1)
-        base_c = job.max_conflicts if job.max_conflicts is not None \
-            else self.base_conflicts
-        conflicts = None
-        if base_c is not None:
-            conflicts = min(int(base_c * factor), self.conflicts_cap)
-        base_s = job.max_seconds if job.max_seconds is not None \
-            else self.base_seconds
-        seconds = None
-        if base_s is not None:
-            seconds = base_s * factor
-            if self.seconds_cap is not None:
-                seconds = min(seconds, self.seconds_cap)
-        return conflicts, seconds
+        conflicts = self._escalated(job.max_conflicts, self.base_conflicts,
+                                    self.conflicts_cap, attempt)
+        return (
+            None if conflicts is None else int(conflicts),
+            self._escalated(job.max_seconds, self.base_seconds,
+                            self.seconds_cap, attempt),
+        )
 
     def guard_budget_for(
         self, job: Job, attempt: int
@@ -108,22 +114,12 @@ class RetryPolicy:
         """The (max_wall_seconds, max_memory_mb) supervision budget of one
         attempt — escalated exactly like the SAT budget, so a wall-clock
         or memory kill retries bigger, the paper's 4 GB-limit protocol."""
-        factor = self.escalation ** (attempt - 1)
-        base_w = job.max_wall_seconds if job.max_wall_seconds is not None \
-            else self.base_wall_seconds
-        wall = None
-        if base_w is not None:
-            wall = base_w * factor
-            if self.wall_cap is not None:
-                wall = min(wall, self.wall_cap)
-        base_m = job.max_memory_mb if job.max_memory_mb is not None \
-            else self.base_memory_mb
-        memory = None
-        if base_m is not None:
-            memory = base_m * factor
-            if self.memory_cap_mb is not None:
-                memory = min(memory, self.memory_cap_mb)
-        return wall, memory
+        return (
+            self._escalated(job.max_wall_seconds, self.base_wall_seconds,
+                            self.wall_cap, attempt),
+            self._escalated(job.max_memory_mb, self.base_memory_mb,
+                            self.memory_cap_mb, attempt),
+        )
 
 
 @dataclass(frozen=True)
@@ -531,16 +527,7 @@ class CampaignRunner:
             log=self._log,
             fault_journal=journal,
         )
-        with ExitStack() as ambient:
-            # One backend selection and one live session pool for the
-            # whole batch: same-digest CNFs across jobs (and across a
-            # job's escalation retries) resume incrementally.
-            if self.sat_backend is not None:
-                ambient.enter_context(
-                    use_backend(resolve_backend(self.sat_backend))
-                )
-            if self.incremental_sat:
-                ambient.enter_context(use_session_pool(SessionPool()))
+        with batch_ambient(self.sat_backend, self.incremental_sat):
             self._run_jobs_inline(
                 executor, to_run, journal, failed_attempts, results
             )
@@ -561,22 +548,10 @@ class CampaignRunner:
                     job, self._short_circuit_result(job), journal, results
                 )
                 continue
-            tracer = Tracer()
-            # A per-job ambient deadline (no budgets of its own): the
-            # anchor `slow` faults attach their stage delays to, and the
-            # parent the executor's attempt-scoped budgets derive from —
-            # mirroring the heartbeat deadline a parallel worker installs.
-            with use_deadline(Deadline()), use_tracer(tracer):
-                with tracer.span("campaign.job"):
-                    result = executor.run_job(
-                        job, journal.append, failed_attempts
-                    )
-            span = tracer.root
-            self._registry.merge({
-                "campaign.jobs_run": 1.0,
-                "campaign.job_seconds": span.wall_seconds,
-                "campaign.job_cpu_seconds": span.cpu_seconds,
-            })
+            result, metrics = executor.run_traced(
+                job, journal.append, failed_attempts, Deadline()
+            )
+            self._registry.merge(metrics)
             self._finish_job(job, result, journal, results)
 
     def _run_parallel(

@@ -16,6 +16,10 @@ JSON / Chrome trace-event form)::
 
     python -m repro trace --rob 4 --width 2
     python -m repro trace --rob 8 --width 4 --format chrome --out t.json
+    python -m repro trace --rob 2 --width 1 --family branch
+
+Both take the run-spec flags of every single-run CLI
+(:func:`repro.campaign.args.add_config_flags`).
 
 Exit status: ``perf compare`` returns 0 when every metric is within
 tolerance and 1 otherwise; ``record``/``trace`` mirror the single-run
@@ -29,6 +33,7 @@ import json
 import sys
 from typing import List, Optional, Tuple
 
+from ..campaign.args import add_config_flags, jobs_from_args
 from ..errors import ReproError
 from .metrics import (
     DEFAULT_TOLERANCES,
@@ -47,40 +52,13 @@ from .exporters import (
 __all__ = ["perf_main", "trace_main"]
 
 
-def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rob", type=int, default=4,
-                        help="reorder-buffer size N (default 4)")
-    parser.add_argument("--width", type=int, default=2,
-                        help="issue width k (default 2)")
-    parser.add_argument(
-        "--method",
-        choices=("rewriting", "positive_equality"),
-        default="rewriting",
-    )
-    parser.add_argument(
-        "--criterion",
-        choices=("disjunction", "case_split"),
-        default="disjunction",
-    )
-    parser.add_argument(
-        "--deadline", type=float, default=None, metavar="S",
-        help="run under a pipeline-wide wall-clock deadline; guard "
-        "activity shows up as guard.* counters on the trace",
-    )
-    parser.add_argument(
-        "--max-memory", type=float, default=None, metavar="MB",
-        help="run under a cooperative memory budget (see --deadline)",
-    )
-
-
 def _run_traced(args: argparse.Namespace):
     from ..core import verify
-    from ..processor.params import ProcessorConfig
 
-    config = ProcessorConfig(n_rob=args.rob, issue_width=args.width)
+    (job,) = jobs_from_args(args)
     return verify(
-        config, method=args.method, criterion=args.criterion, trace=True,
-        max_wall_seconds=args.deadline, max_memory_mb=args.max_memory,
+        job.config(), **job.verify_kwargs(), trace=True,
+        sat_backend=args.sat_backend,
     )
 
 
@@ -123,7 +101,7 @@ def build_perf_parser() -> argparse.ArgumentParser:
     record = sub.add_parser(
         "record", help="run one traced verification and save its metrics"
     )
-    _add_run_options(record)
+    add_config_flags(record)
     record.add_argument(
         "--out", default="perf_snapshot.json", metavar="FILE",
         help="where to write the MetricsSnapshot JSON",
@@ -174,7 +152,7 @@ def perf_main(argv: Optional[List[str]] = None) -> int:
 def _perf_record(args: argparse.Namespace) -> int:
     try:
         result = _run_traced(args)
-    except ReproError as exc:
+    except (ReproError, ValueError) as exc:
         print(f"perf record failed: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 2
@@ -223,7 +201,7 @@ def build_trace_parser() -> argparse.ArgumentParser:
             "Run one traced verification and export its span tree."
         ),
     )
-    _add_run_options(parser)
+    add_config_flags(parser)
     parser.add_argument(
         "--format", choices=("tree", "json", "chrome"), default="tree",
         help="output format (default: human-readable tree)",
@@ -239,7 +217,7 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
     args = build_trace_parser().parse_args(argv)
     try:
         result = _run_traced(args)
-    except ReproError as exc:
+    except (ReproError, ValueError) as exc:
         print(f"trace failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     if args.format == "tree":

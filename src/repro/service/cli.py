@@ -31,8 +31,12 @@ import signal
 import sys
 from typing import List, Optional
 
-from ..campaign.runner import DegradePolicy, RetryPolicy
-from ..errors import SolverError
+from ..campaign.args import (
+    add_policy_flags,
+    add_solver_flags,
+    policies_from_args,
+)
+from ..errors import CampaignError, SolverError
 from .app import ServiceApp
 from .sessions import SessionManager
 
@@ -73,47 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--session-workers", type=int, default=1, metavar="N",
         help="campaign worker processes per session (default 1)",
     )
-    parser.add_argument(
-        "--breaker", type=int, default=None, metavar="K",
-        help="short-circuit a config family after K consecutive "
-        "INCONCLUSIVE outcomes, service-wide (default: off)",
-    )
-    parser.add_argument(
-        "--max-attempts", type=int, default=3, metavar="A",
-        help="verification attempts per method per job (default 3)",
-    )
-    parser.add_argument(
-        "--escalation", type=float, default=2.0, metavar="F",
-        help="budget multiplier between attempts (default 2.0)",
-    )
-    parser.add_argument(
-        "--max-conflicts", type=int, default=None, metavar="N",
-        help="default base SAT conflict budget per attempt",
-    )
-    parser.add_argument(
-        "--deadline", type=float, default=None, metavar="S",
-        help="default base pipeline-wide deadline per attempt, seconds",
-    )
-    parser.add_argument(
-        "--max-memory", type=float, default=None, metavar="MB",
-        help="default base memory budget per attempt, MiB",
-    )
-    parser.add_argument(
-        "--no-degrade", action="store_true",
-        help="go straight to INCONCLUSIVE instead of falling back to "
-        "positive_equality",
-    )
-    parser.add_argument(
-        "--sat-backend", default=None, metavar="NAME",
-        help="SAT backend for every session's verifications: reference "
-        "(in-tree CDCL, default), pysat, dimacs, or auto; verdicts are "
-        "backend-independent, so cache keys are unaffected",
-    )
-    parser.add_argument(
-        "--no-incremental-sat", action="store_true",
-        help="solve every CNF cold instead of resuming same-digest SAT "
-        "sessions across a campaign's jobs and retries",
-    )
+    add_solver_flags(parser)
+    add_policy_flags(parser)
     parser.add_argument(
         "--quiet", action="store_true", help="suppress progress lines"
     )
@@ -152,16 +117,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     log = (lambda message: None) if args.quiet else (
         lambda message: print(message, flush=True)
     )
-    retry = RetryPolicy(
-        max_attempts=args.max_attempts,
-        escalation=args.escalation,
-        base_conflicts=args.max_conflicts
-        if args.max_conflicts is not None
-        else RetryPolicy.base_conflicts,
-        base_wall_seconds=args.deadline,
-        base_memory_mb=args.max_memory,
-    )
     try:
+        retry, degrade = policies_from_args(args)
         manager = SessionManager(
             args.data_dir,
             queue_limit=args.queue_limit,
@@ -169,14 +126,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             session_workers=args.session_workers,
             breaker_threshold=args.breaker,
             retry=retry,
-            degrade=DegradePolicy(
-                fallback_method=None if args.no_degrade else "positive_equality"
-            ),
+            degrade=degrade,
             sat_backend=args.sat_backend,
             incremental_sat=not args.no_incremental_sat,
             log=log,
         )
-    except (SolverError, OSError) as exc:
+    except (CampaignError, SolverError, OSError) as exc:
         print(f"serve error: {exc}", file=sys.stderr)
         return 2
     requeued = manager.reattach()

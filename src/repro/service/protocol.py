@@ -18,25 +18,31 @@ outcomes (see :mod:`repro.service.cache`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
+from ..campaign.args import parse_grid
 from ..campaign.jobs import Job
+from ..core.verifier import METHODS
 from ..errors import CampaignError
 from ..processor.bugs import BugKind
+from ..processor.correctness import CRITERIA
 from ..processor.families import family_names
 
-__all__ = ["ServiceError", "SubmitRequest", "job_options", "parse_grid"]
+__all__ = ["ServiceError", "SubmitRequest", "job_options"]
 
 #: Hard ceiling on jobs per submit: a single request cannot smuggle in
 #: an unbounded campaign; callers split larger sweeps across sessions.
 MAX_JOBS_PER_REQUEST = 256
 
-_METHODS = ("rewriting", "positive_equality")
-_CRITERIA = ("disjunction", "case_split")
-_BUDGET_FIELDS = (
-    "max_conflicts", "max_seconds", "max_wall_seconds", "max_memory_mb",
-)
+#: budget field -> the type its value must convert to.
+_BUDGET_FIELDS = {
+    "max_conflicts": int,
+    "max_seconds": float,
+    "max_wall_seconds": float,
+    "max_memory_mb": float,
+}
 
 
 class ServiceError(CampaignError):
@@ -54,11 +60,23 @@ class ServiceError(CampaignError):
         self.retry_after = retry_after
 
 
-def parse_grid(grid: str) -> List[Tuple[int, int]]:
-    """Parse the campaign CLI's ``N1xK1,N2xK2,...`` grid shorthand."""
-    from ..campaign.cli import _parse_grid
-
-    return _parse_grid(grid)
+def _coerce(value: Any, kind: type, name: str) -> Any:
+    """``kind(value)``, or a 400 naming the field when ``value`` is a
+    boolean, a non-integral number for an ``int`` field, or does not
+    convert to a finite number."""
+    noun = "an integer" if kind is int else "a finite number"
+    bad = ServiceError(400, f"{name} must be {noun}, got {value!r}")
+    if isinstance(value, bool) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise bad
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise bad
+    if not math.isfinite(number):
+        raise bad
+    return number
 
 
 def job_options(job: Job, certify: bool, analyze: bool) -> Dict[str, Any]:
@@ -89,7 +107,7 @@ class SubmitRequest:
     analyze: bool = False
     #: free-form client label, echoed in session records (provenance).
     client: str = ""
-    #: raw budget fields forwarded to the jobs (already applied).
+    #: budget fields forwarded to the jobs (already applied).
     budgets: Dict[str, Any] = field(default_factory=dict)
 
     @classmethod
@@ -106,15 +124,15 @@ class SubmitRequest:
                 400, f"unknown request field(s): {sorted(unknown)}"
             )
         method = payload.get("method", "rewriting")
-        if method not in _METHODS:
+        if method not in METHODS:
             raise ServiceError(
-                400, f"unknown method {method!r}; use one of {_METHODS}"
+                400, f"unknown method {method!r}; use one of {METHODS}"
             )
         criterion = payload.get("criterion", "disjunction")
-        if criterion not in _CRITERIA:
+        if criterion not in CRITERIA:
             raise ServiceError(
                 400,
-                f"unknown criterion {criterion!r}; use one of {_CRITERIA}",
+                f"unknown criterion {criterion!r}; use one of {CRITERIA}",
             )
         family = payload.get("family", "reg-reg")
         if not isinstance(family, str) or family not in family_names():
@@ -137,8 +155,10 @@ class SubmitRequest:
                 )
             bug_fields = {
                 "bug_kind": bug["kind"],
-                "bug_entry": int(bug.get("entry", 1)),
-                "bug_operand": int(bug.get("operand", 1)),
+                "bug_entry": _coerce(bug.get("entry", 1), int, "bug.entry"),
+                "bug_operand": _coerce(
+                    bug.get("operand", 1), int, "bug.operand"
+                ),
             }
         budgets_in = payload.get("budgets") or {}
         if not isinstance(budgets_in, Mapping):
@@ -148,11 +168,11 @@ class SubmitRequest:
             raise ServiceError(
                 400,
                 f"unknown budget field(s): {sorted(bad_budget)}; "
-                f"use {_BUDGET_FIELDS}",
+                f"use {tuple(_BUDGET_FIELDS)}",
             )
         budgets = {
-            name: budgets_in[name]
-            for name in _BUDGET_FIELDS
+            name: _coerce(budgets_in[name], kind, f"budgets.{name}")
+            for name, kind in _BUDGET_FIELDS.items()
             if budgets_in.get(name) is not None
         }
 
@@ -177,10 +197,14 @@ class SubmitRequest:
                         f"unknown family {item_family!r}; "
                         f"use one of {family_names()}",
                     )
+                retire_width = item.get("retire_width")
                 configs.append({
-                    "n_rob": int(item["n_rob"]),
-                    "issue_width": int(item["issue_width"]),
-                    "retire_width": item.get("retire_width"),
+                    "n_rob": _coerce(item["n_rob"], int, "n_rob"),
+                    "issue_width": _coerce(
+                        item["issue_width"], int, "issue_width"
+                    ),
+                    "retire_width": None if retire_width is None
+                    else _coerce(retire_width, int, "retire_width"),
                     "family": item_family,
                 })
         grid = payload.get("grid")

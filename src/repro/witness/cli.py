@@ -31,10 +31,8 @@ import json
 import sys
 from typing import List, Optional
 
+from ..campaign.args import add_config_flags, jobs_from_args
 from ..errors import BudgetExhausted, ReproError, WitnessError
-from ..processor.bugs import Bug, BugKind
-from ..processor.families import family_names
-from ..processor.params import ProcessorConfig
 from .drup import DrupProof, check_drup
 
 __all__ = ["build_parser", "main"]
@@ -51,43 +49,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_options(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument("--rob", type=int, default=4, help="ROB size N")
-        cmd.add_argument("--width", type=int, default=2, help="issue width k")
-        cmd.add_argument(
-            "--retire-width", type=int, default=None, help="retire width l"
-        )
-        cmd.add_argument(
-            "--family",
-            choices=family_names(),
-            default="reg-reg",
-            help="workload family (default: reg-reg)",
-        )
-        cmd.add_argument(
-            "--method",
-            choices=("rewriting", "positive_equality"),
-            default="rewriting",
-        )
-        cmd.add_argument(
-            "--criterion",
-            choices=("disjunction", "case_split"),
-            default="disjunction",
-        )
-        cmd.add_argument("--bug", choices=BugKind.ALL, default=None)
-        cmd.add_argument("--entry", type=int, default=1)
-        cmd.add_argument("--operand", type=int, choices=(1, 2), default=1)
-        cmd.add_argument("--max-conflicts", type=int, default=None)
-        cmd.add_argument("--max-seconds", type=float, default=None)
-        cmd.add_argument(
-            "--json",
-            action="store_true",
-            help="print the witness summary as JSON instead of text",
-        )
+    run = argparse.ArgumentParser(add_help=False)
+    add_config_flags(run)
+    run.add_argument(
+        "--json",
+        action="store_true",
+        help="print the witness summary as JSON instead of text",
+    )
 
     certify = sub.add_parser(
-        "certify", help="verify one configuration and validate its witness"
+        "certify",
+        parents=[run],
+        help="verify one configuration and validate its witness",
     )
-    add_run_options(certify)
     certify.add_argument(
         "--proof-out",
         metavar="FILE",
@@ -99,12 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the exact CNF the proof certifies here (DIMACS)",
     )
 
-    explain = sub.add_parser(
+    sub.add_parser(
         "explain",
+        parents=[run],
         help="verify a (buggy) configuration and print the minimized "
         "term-level counterexample diagnosis",
     )
-    add_run_options(explain)
 
     check = sub.add_parser(
         "check", help="re-check a stored DRUP proof against a stored CNF"
@@ -117,23 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_certified(args: argparse.Namespace):
     from ..core import verify
 
-    config = ProcessorConfig(
-        n_rob=args.rob,
-        issue_width=args.width,
-        retire_width=args.retire_width,
-        family=args.family,
-    )
-    bug = None
-    if args.bug is not None:
-        bug = Bug(args.bug, entry=args.entry, operand=args.operand)
+    (job,) = jobs_from_args(args)
     return verify(
-        config,
-        method=args.method,
-        bug=bug,
-        criterion=args.criterion,
-        max_conflicts=args.max_conflicts,
-        max_seconds=args.max_seconds,
+        job.config(),
+        **job.verify_kwargs(),
         certify=True,
+        sat_backend=args.sat_backend,
     )
 
 

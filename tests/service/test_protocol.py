@@ -128,6 +128,61 @@ class TestParseRejections:
             SubmitRequest.parse({"configs": configs})
         assert "ceiling" in str(excinfo.value)
 
+    def test_non_numeric_config_value(self):
+        with pytest.raises(ServiceError) as excinfo:
+            SubmitRequest.parse(
+                {"configs": [{"n_rob": "four", "issue_width": 2}]}
+            )
+        assert _status(excinfo) == 400
+        assert "n_rob" in str(excinfo.value)
+
+    def test_null_config_value(self):
+        with pytest.raises(ServiceError) as excinfo:
+            SubmitRequest.parse(
+                {"configs": [{"n_rob": None, "issue_width": 2}]}
+            )
+        assert _status(excinfo) == 400
+        assert "n_rob" in str(excinfo.value)
+
+    def test_non_numeric_bug_entry(self):
+        with pytest.raises(ServiceError) as excinfo:
+            SubmitRequest.parse({
+                "grid": "4x2",
+                "bug": {"kind": "forward-wrong-source", "entry": "x"},
+            })
+        assert _status(excinfo) == 400
+        assert "bug.entry" in str(excinfo.value)
+
+    def test_non_numeric_budget(self):
+        # Accepting it would fail the session later, in the retry policy.
+        with pytest.raises(ServiceError) as excinfo:
+            SubmitRequest.parse(
+                {"grid": "4x2", "budgets": {"max_conflicts": "lots"}}
+            )
+        assert _status(excinfo) == 400
+        assert "max_conflicts" in str(excinfo.value)
+
+    @pytest.mark.parametrize("budgets", [
+        {"max_seconds": "nan"},
+        {"max_wall_seconds": float("inf")},
+        {"max_conflicts": True},
+        {"max_conflicts": 4.9},
+    ])
+    def test_budget_that_would_not_bound_the_attempt(self, budgets):
+        # A NaN budget never fires; a bool or a fraction is no count.
+        with pytest.raises(ServiceError) as excinfo:
+            SubmitRequest.parse({"grid": "4x2", "budgets": budgets})
+        assert _status(excinfo) == 400
+        assert next(iter(budgets)) in str(excinfo.value)
+
+    def test_integral_and_numeric_string_values_still_parse(self):
+        (job,) = SubmitRequest.parse({
+            "configs": [{"n_rob": 4.0, "issue_width": "2"}],
+            "budgets": {"max_conflicts": 1e3, "max_seconds": "1.5"},
+        }).jobs
+        assert (job.n_rob, job.issue_width) == (4, 2)
+        assert (job.max_conflicts, job.max_seconds) == (1000, 1.5)
+
 
 class TestJobOptions:
     def test_budgets_never_leak_into_the_cache_key_options(self):
