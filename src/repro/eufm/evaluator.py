@@ -44,6 +44,7 @@ __all__ = [
     "Interpretation",
     "MemVal",
     "ModelSearch",
+    "Schedule",
     "SortError",
     "evaluate",
     "find_counterexample",
@@ -193,9 +194,12 @@ def infer_memory_sorts(*roots: Expr) -> Set[Expr]:
     result used at value sort is fine — only value/memory conflicts at
     variables and applications are rejected during evaluation).
     """
+    return _memory_sorts(list(iter_dag(*roots)))
+
+
+def _memory_sorts(nodes: Sequence[Expr]) -> Set[Expr]:
     deadline = current_deadline()
     memory: Set[Expr] = set()
-    nodes = list(iter_dag(*roots))
     changed = True
     while changed:
         deadline.tick("encode.memory")
@@ -225,13 +229,32 @@ def infer_memory_sorts(*roots: Expr) -> Set[Expr]:
     return memory
 
 
+class Schedule:
+    """The post-order node list and memory sorts of ``roots``, computed
+    once, so the same DAG can be evaluated under many interpretations
+    without walking it or inferring its sorts again."""
+
+    def __init__(self, *roots: Expr) -> None:
+        self.roots = roots
+        self.nodes: Tuple[Expr, ...] = tuple(iter_dag(*roots))
+        self.memory_sorted = _memory_sorts(self.nodes)
+
+    def values(self, interp: Interpretation) -> Dict[Expr, Value]:
+        """The value of every scheduled node under ``interp``."""
+        values: Dict[Expr, Value] = {}
+        memory_sorted = self.memory_sorted
+        for node in self.nodes:
+            values[node] = _eval_node(node, values, interp, memory_sorted)
+        return values
+
+    def evaluate(self, interp: Interpretation) -> Value:
+        """The value of the first root under ``interp``."""
+        return self.values(interp)[self.roots[0]]
+
+
 def evaluate(root: Expr, interp: Interpretation) -> Value:
     """Evaluate ``root`` (and its whole DAG) under ``interp``."""
-    memory_sorted = infer_memory_sorts(root)
-    values: Dict[Expr, Value] = {}
-    for node in iter_dag(root):
-        values[node] = _eval_node(node, values, interp, memory_sorted)
-    return values[root]
+    return Schedule(root).evaluate(interp)
 
 
 @dataclass
@@ -272,7 +295,8 @@ def find_counterexample(
     first interpretation under which ``formula`` is false.  Raises
     :class:`SortError` when ``formula`` is ill-sorted.
     """
-    memory_sorted = infer_memory_sorts(formula)
+    schedule = Schedule(formula)
+    memory_sorted = schedule.memory_sorted
     value_vars = sorted(
         {v.name for v in term_variables(formula) if v not in memory_sorted}
     )
@@ -299,7 +323,7 @@ def find_counterexample(
                     bool_values=bool_assignment,
                 )
                 checked += 1
-                if not evaluate(formula, interp):
+                if not schedule.evaluate(interp):
                     return ModelSearch(
                         Counterexample(
                             domain, seed, term_assignment, bool_assignment

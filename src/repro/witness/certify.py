@@ -78,6 +78,7 @@ def certify_result(result) -> Witness:
             check = check_drup(encoded.cnf, proof)
             span.add("witness.proof_steps", len(proof.steps))
             span.add("witness.proof_ok", 1 if check.ok else 0)
+            span.add("witness.rup_assignments", check.assignments)
         return Witness(
             kind="unsat-proof",
             validated=check.ok,

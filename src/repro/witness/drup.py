@@ -10,12 +10,23 @@ every first-UIP learned clause of a CDCL solver has this property, so the
 solver's learned-clause log *is* a proof.
 
 Independence is the whole point of this module: :func:`check_drup` shares
-**no code** with :class:`repro.sat.solver.Solver`.  The solver uses
-two-watched-literal propagation over mutable clause objects; the checker
-here uses counting-based propagation over immutable literal tuples with
-occurrence lists, rebuilt per proof step from the checker's own clause
-database.  A bug in the solver's propagation, conflict analysis or clause
-minimization therefore cannot silently certify its own bogus proof.
+**no code** with :class:`repro.sat.solver.Solver` and imports nothing from
+:mod:`repro.sat` but the :class:`~repro.sat.cnf.Cnf` container.  Both use
+two watched literals, but the checker has its own clause store, its own
+dense variable numbering and its own propagation loop, and it re-derives
+every lemma by unit propagation from the clauses alone: it never sees the
+solver's trail, reasons, decision levels or learned-clause analysis.  A bug
+in the solver's propagation, conflict analysis or clause minimization
+therefore cannot silently certify its own bogus proof.  The test suite
+keeps the checker honest against a deliberately naive reference that
+re-propagates from scratch for every step (``tests/witness/
+drup_reference.py``).
+
+The checker keeps one root trail, the unit-propagation fixpoint of its
+database, across proof steps (see :class:`_RupChecker`), so a RUP check
+costs the literals the negated clause adds, not the whole root again.
+An empty clause in the database (``Cnf.dedupe`` keeps one) is a conflict
+on its own, so every later addition is RUP.
 
 The proof is certified against the exact CNF handed to the solver — the
 post-``dedupe()``, post-Tseitin clause list of
@@ -32,9 +43,8 @@ Text format (one step per line, DIMACS-style, 0-terminated)::
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..errors import WitnessError
 from ..guard.deadline import current_deadline
@@ -137,33 +147,101 @@ class DrupCheckResult:
     additions: int = 0
     deletions: int = 0
     detail: str = ""
+    #: literals the checker assigned (root trail and RUP checks).
+    assignments: int = 0
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
         return self.ok
 
 
-class _ClauseDb:
-    """The checker's clause database: immutable literal tuples with
-    occurrence lists, a unit index, and set-keyed deletion (the solver
-    reorders watched literals in place, so deletions must match clauses
-    as literal *sets*, not sequences)."""
+class _RupChecker:
+    """The checker's clause database and its root trail.
+
+    The root trail is the unit-propagation fixpoint of the database, kept
+    across proof steps: an addition extends it by propagating from the
+    literals it newly forces, and a RUP check assigns the negated clause
+    on top of it, propagates, and undoes back to the root length.  A
+    deletion invalidates the root only when the deleted clause is the
+    reason for a root literal or the root conflict; the root is then
+    rebuilt from the unit clauses before the next check.
+
+    Propagation uses two watched literals over the checker's own clause
+    store.  Variables are numbered densely in order of first appearance,
+    and literal ``2*v`` / ``2*v + 1`` is variable ``v`` positive /
+    negated, so negation is ``^ 1``.  Deletion matches clauses as literal
+    *sets* (the solver reorders literals in place), and one copy of a
+    repeated clause goes at a time.
+    """
 
     def __init__(self) -> None:
-        self._clauses: Dict[int, Tuple[int, ...]] = {}
+        self._index: Dict[int, int] = {}
+        #: literal -> 1 true / -1 false / 0 unassigned.
+        self._value: List[int] = [0, 0]
+        #: literal -> ids of the clauses watching it.
+        self._watches: List[List[int]] = [[], []]
+        #: variable -> id of the clause that last assigned it.
+        self._reason: List[int] = [-1]
+        #: id -> distinct literals of every clause but tautologies; a
+        #: clause of two or more literals watches its first two.
+        self._clauses: Dict[int, List[int]] = {}
         self._by_key: Dict[FrozenSet[int], List[int]] = {}
-        self._occ: Dict[int, Set[int]] = {}
         self._units: Dict[int, int] = {}
+        self._empty = 0
+        self._trail: List[int] = []
+        #: id of a clause every literal of which is false at the root.
+        self._conflict: Optional[int] = None
+        self._stale = True
         self._next_id = 0
+        self._deadline = current_deadline()
+        #: literals assigned so far, on the root trail and in checks.
+        self.assignments = 0
+
+    def _code(self, lit: int) -> int:
+        var = self._index.get(abs(lit))
+        if var is None:
+            var = self._index[abs(lit)] = len(self._reason)
+            self._reason.append(-1)
+            self._value += (0, 0)
+            self._watches += ([], [])
+        return 2 * var + (lit < 0)
 
     def add(self, literals: Tuple[int, ...]) -> None:
         cid = self._next_id
         self._next_id += 1
-        self._clauses[cid] = literals
         self._by_key.setdefault(frozenset(literals), []).append(cid)
-        for lit in literals:
-            self._occ.setdefault(lit, set()).add(cid)
-        if len(set(literals)) == 1:
-            self._units[cid] = literals[0]
+        codes = list(dict.fromkeys(self._code(lit) for lit in literals))
+        if len({code >> 1 for code in codes}) < len(codes):
+            return  # a tautology never propagates
+        self._clauses[cid] = codes
+        live = not self._stale and self._conflict is None
+        if not codes:
+            self._empty += 1
+            return
+        if len(codes) == 1:
+            self._units[cid] = codes[0]
+            if live:
+                self._root_assign(codes[0], cid)
+            return
+        value = self._value
+        if live:
+            # True literals first, then unassigned, then false: a false
+            # watch is then only ever paired with a true one.
+            codes.sort(key=lambda code: -value[code])
+        self._watches[codes[0]].append(cid)
+        self._watches[codes[1]].append(cid)
+        if live and value[codes[1]] == -1 and value[codes[0]] != 1:
+            self._root_assign(codes[0], cid)
+
+    def _root_assign(self, code: int, cid: int) -> None:
+        """Make ``code`` true at the root (reason ``cid``) and propagate."""
+        value = self._value[code]
+        if value == -1:
+            self._conflict = cid
+        elif value == 0:
+            head = len(self._trail)
+            self._assign(code, cid)
+            self._conflict = self._propagate(head)
+            self.assignments += len(self._trail) - head
 
     def delete(self, literals: Tuple[int, ...]) -> bool:
         """Remove one clause equal (as a set) to ``literals``."""
@@ -171,68 +249,109 @@ class _ClauseDb:
         if not bucket:
             return False
         cid = bucket.pop()
-        clause = self._clauses.pop(cid)
-        for lit in clause:
-            self._occ[lit].discard(cid)
+        codes = self._clauses.pop(cid, None)  # watches drop it lazily
+        if codes is None:
+            return True
+        if not codes:
+            self._empty -= 1
+            return True
         self._units.pop(cid, None)
+        if cid == self._conflict or any(
+            self._value[code] == 1 and self._reason[code >> 1] == cid
+            for code in codes
+        ):
+            self._stale = True
         return True
 
-    def propagates_to_conflict(self, assumed_false: Tuple[int, ...]) -> bool:
-        """Assume every literal of ``assumed_false`` is false, unit
-        propagate the database, and report whether a conflict arises.
+    def _rebuild(self) -> None:
+        value = self._value
+        for code in self._trail:
+            value[code] = value[code ^ 1] = 0
+        self._trail.clear()
+        self._stale = False
+        self._conflict = None
+        for cid, code in self._units.items():
+            if value[code] == -1:
+                self._conflict = cid
+                break
+            if value[code] == 0:
+                self._assign(code, cid)
+        if self._conflict is None:
+            self._conflict = self._propagate(0)
+        self.assignments += len(self._trail)
 
-        Counting-free BFS: each newly assigned literal visits the clauses
-        containing its negation; a clause with no unassigned literal and
-        no true literal is a conflict, one with exactly one unassigned
-        literal and no true literal propagates it.
-        """
-        assigns: Dict[int, int] = {}  # var -> +1 / -1
-        pending: Deque[int] = deque()
+    def _assign(self, code: int, cid: int) -> None:
+        self._value[code] = 1
+        self._value[code ^ 1] = -1
+        self._reason[code >> 1] = cid
+        self._trail.append(code)
 
-        def assign(lit: int) -> bool:
-            """Make ``lit`` true; False when it contradicts the state."""
-            var = abs(lit)
-            sign = 1 if lit > 0 else -1
-            current = assigns.get(var, 0)
-            if current == 0:
-                assigns[var] = sign
-                pending.append(lit)
-                return True
-            return current == sign
-
-        for lit in assumed_false:
-            if not assign(-lit):
-                return True  # the negated clause is itself contradictory
-        for lit in self._units.values():
-            if not assign(lit):
-                return True
-        deadline = current_deadline()
-        while pending:
+    def _propagate(self, head: int) -> Optional[int]:
+        """Propagate the trail from ``head``; the id of a clause found
+        false, or None at the fixpoint."""
+        trail, value, watches = self._trail, self._value, self._watches
+        clauses, reason, deadline = self._clauses, self._reason, self._deadline
+        while head < len(trail):
             deadline.tick("witness")
-            lit = pending.popleft()
-            for cid in tuple(self._occ.get(-lit, ())):
-                clause = self._clauses.get(cid)
-                if clause is None:  # pragma: no cover - deleted mid-walk
+            false_lit = trail[head] ^ 1
+            head += 1
+            watching = watches[false_lit]
+            kept = 0
+            for i in range(len(watching)):
+                cid = watching[i]
+                clause = clauses.get(cid)
+                if clause is None:
+                    continue  # deleted
+                if clause[0] == false_lit:
+                    clause[0], clause[1] = clause[1], false_lit
+                other = clause[0]
+                if value[other] == 1:
+                    watching[kept] = cid
+                    kept += 1
                     continue
-                unassigned: Optional[int] = None
-                satisfied = False
-                for other in clause:
-                    value = assigns.get(abs(other), 0)
-                    if value == 0:
-                        if unassigned is not None and unassigned != other:
-                            unassigned = 0  # two unassigned: nothing to do
-                            break
-                        unassigned = other
-                    elif value == (1 if other > 0 else -1):
-                        satisfied = True
+                for k in range(2, len(clause)):
+                    lit = clause[k]
+                    if value[lit] != -1:
+                        clause[1], clause[k] = lit, false_lit
+                        watches[lit].append(cid)
                         break
-                if satisfied or unassigned == 0:
-                    continue
-                if unassigned is None:
-                    return True  # every literal false: conflict
-                if not assign(unassigned):
-                    return True
-        return False
+                else:
+                    watching[kept] = cid
+                    kept += 1
+                    if value[other] == -1:
+                        del watching[kept:i + 1]
+                        return cid
+                    value[other] = 1
+                    value[other ^ 1] = -1
+                    reason[other >> 1] = cid
+                    trail.append(other)
+            del watching[kept:]
+        return None
+
+    def derives_conflict(self, literals: Tuple[int, ...]) -> bool:
+        """Whether unit propagation over the database, with every literal
+        of ``literals`` assumed false, reaches a conflict."""
+        if self._stale:
+            self._rebuild()
+        if self._empty or self._conflict is not None:
+            return True
+        trail, value = self._trail, self._value
+        root = len(trail)
+        conflict = False
+        for lit in literals:
+            code = self._code(lit)
+            if value[code] == 1:
+                conflict = True
+                break
+            if value[code] == 0:
+                self._assign(code ^ 1, -1)
+        if not conflict:
+            conflict = self._propagate(root) is not None
+        self.assignments += len(trail) - root
+        for code in trail[root:]:
+            value[code] = value[code ^ 1] = 0
+        del trail[root:]
+        return conflict
 
 
 def cnf_with_assumptions(cnf: Cnf, assumptions: Sequence[int]) -> Cnf:
@@ -257,23 +376,30 @@ def check_drup(cnf: Cnf, proof: DrupProof) -> DrupCheckResult:
     miss indicates a corrupted proof).  The check succeeds exactly when
     the empty clause is derived; steps after it are ignored.
     """
-    db = _ClauseDb()
+    checker = _RupChecker()
     for clause in cnf.clauses:
-        db.add(tuple(clause))
-
+        checker.add(tuple(clause))
     result = DrupCheckResult(ok=False)
+    _check_steps(checker, proof, result)
+    result.assignments = checker.assignments
+    return result
+
+
+def _check_steps(
+    checker: _RupChecker, proof: DrupProof, result: DrupCheckResult
+) -> None:
     for index, step in enumerate(proof.steps):
         result.steps_checked = index + 1
         if step.delete:
-            if not db.delete(step.literals):
+            if not checker.delete(step.literals):
                 result.detail = (
                     f"step {index + 1}: deletion of a clause not in the "
                     f"database: {list(step.literals)}"
                 )
-                return result
+                return
             result.deletions += 1
             continue
-        if not db.propagates_to_conflict(step.literals):
+        if not checker.derives_conflict(step.literals):
             label = (
                 "the empty clause" if not step.literals
                 else f"clause {list(step.literals)}"
@@ -282,7 +408,7 @@ def check_drup(cnf: Cnf, proof: DrupProof) -> DrupCheckResult:
                 f"step {index + 1}: {label} is not reverse-unit-propagation "
                 "derivable from the current clause database"
             )
-            return result
+            return
         result.additions += 1
         if not step.literals:
             result.ok = True
@@ -290,10 +416,9 @@ def check_drup(cnf: Cnf, proof: DrupProof) -> DrupCheckResult:
                 f"empty clause derived after {result.additions} addition(s) "
                 f"and {result.deletions} deletion(s)"
             )
-            return result
-        db.add(step.literals)
+            return
+        checker.add(step.literals)
     result.detail = (
         "proof exhausted without deriving the empty clause "
         f"({result.additions} addition(s) checked)"
     )
-    return result

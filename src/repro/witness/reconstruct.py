@@ -43,10 +43,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..encode.evc import EncodedValidity
 from ..errors import WitnessError
 from ..eufm.ast import Eq, Expr, TermVar
-from ..eufm.evaluator import Interpretation, _eval_node, infer_memory_sorts
+from ..eufm.evaluator import Interpretation, Schedule
 from ..eufm.polarity import NEG
 from ..eufm.printer import to_sexpr
-from ..eufm.traversal import iter_dag, term_variables
 from ..guard.deadline import current_deadline
 from ..obs.tracer import current_tracer
 
@@ -159,11 +158,8 @@ class TermCounterexample:
 
 
 class _UnionFind:
-    def __init__(self) -> None:
-        self._parent: Dict[str, str] = {}
-
-    def add(self, name: str) -> None:
-        self._parent.setdefault(name, name)
+    def __init__(self, names: Sequence[str]) -> None:
+        self._parent: Dict[str, str] = {name: name for name in names}
 
     def find(self, name: str) -> str:
         parent = self._parent
@@ -175,8 +171,8 @@ class _UnionFind:
         return root
 
     def union(self, a: str, b: str) -> None:
-        self.add(a)
-        self.add(b)
+        self._parent.setdefault(a, a)
+        self._parent.setdefault(b, b)
         root_a, root_b = self.find(a), self.find(b)
         if root_a != root_b:
             # Deterministic orientation: the lexicographically smaller
@@ -193,110 +189,121 @@ class _UnionFind:
         return ordered
 
 
-def _term_universe(encoded: EncodedValidity) -> List[TermVar]:
-    """Every term variable the interpretation must value: the variables
-    of the memory-free formula plus the fresh ``vc!`` variables (which
-    appear only in the post-elimination artifacts)."""
-    if encoded.memory_free is None:
-        raise WitnessError(
-            "encoding artifacts carry no memory-free formula; "
-            "cannot reconstruct a counterexample"
-        )
-    universe: Dict[str, TermVar] = {
-        var.name: var for var in term_variables(encoded.memory_free)
-    }
-    if encoded.uf_elim is not None:
-        for var in encoded.uf_elim.fresh_term_vars:
-            universe.setdefault(var.name, var)
-    return [universe[name] for name in sorted(universe)]
+class _Replay:
+    """The replay of one encoding, compiled once.
 
-
-def _eij_pairs(encoded: EncodedValidity):
-    """All (pair, eij variable) edges: primary encoding plus chordal fill."""
-    pairs = {}
-    if encoded.eij is not None:
-        pairs.update(encoded.eij.eij_vars)
-    if encoded.transitivity is not None:
-        pairs.update(encoded.transitivity.fill_vars)
-    return pairs
-
-
-def build_interpretation(
-    encoded: EncodedValidity, assignment: Dict[str, Optional[bool]]
-) -> Tuple[Interpretation, List[List[str]]]:
-    """Synthesize a concrete EUFM interpretation from a named assignment.
-
-    Returns the interpretation and the term-variable equivalence classes
-    (transitivity closure of the true ``e_ij`` edges).
+    Construction walks the term universe, lists the ``e_ij`` edges and
+    the ``(fresh, symbol, args)`` provenance rows of UF elimination, and
+    builds two evaluation schedules: one over every provenance argument
+    (UF-free, so their values do not depend on the tables being pinned
+    and one shared memo serves every row) and one over the memory-free
+    formula.  Each replay then only rebuilds the union-find and the
+    interpretation and runs the two schedules.
     """
-    union = _UnionFind()
-    variables = _term_universe(encoded)
-    for var in variables:
-        union.add(var.name)
-    for pair, eij_var in _eij_pairs(encoded).items():
-        if assignment.get(eij_var.name) is True:
+
+    def __init__(self, encoded: EncodedValidity) -> None:
+        if encoded.memory_free is None:
+            raise WitnessError(
+                "encoding artifacts carry no memory-free formula; "
+                "cannot reconstruct a counterexample"
+            )
+        self.formula = Schedule(encoded.memory_free)
+        # Every term variable the interpretation must value: those of the
+        # formula plus the fresh vc! variables, which appear only in the
+        # post-elimination artifacts.
+        names = {
+            node.name for node in self.formula.nodes if isinstance(node, TermVar)
+        }
+        pairs = {}
+        if encoded.eij is not None:
+            pairs.update(encoded.eij.eij_vars)
+        if encoded.transitivity is not None:
+            pairs.update(encoded.transitivity.fill_vars)
+        self.edges: List[Tuple[str, str, str]] = []
+        for pair, eij_var in pairs.items():
             a, b = tuple(pair)
-            union.union(a.name, b.name)
+            self.edges.append((a.name, b.name, eij_var.name))
+        self.uf_rows: List[Tuple[str, str, Tuple[Expr, ...]]] = []
+        self.up_rows: List[Tuple[str, str, Tuple[Expr, ...]]] = []
+        if encoded.uf_elim is not None:
+            prov = encoded.uf_elim.provenance
+            for fresh in encoded.uf_elim.fresh_term_vars:
+                names.add(fresh.name)
+                self.uf_rows.append((fresh.name, *prov[fresh]))
+            for fresh in encoded.uf_elim.fresh_bool_vars:
+                self.up_rows.append((fresh.name, *prov[fresh]))
+        self.names = sorted(names)
+        self.args = Schedule(
+            *(arg for _, _, args in self.uf_rows + self.up_rows for arg in args)
+        )
+        #: replays run and schedule nodes they evaluated.
+        self.replays = 0
+        self.nodes_evaluated = 0
 
-    classes = union.classes()
-    # One distinct domain value per class: value equality coincides with
-    # the model's equality relation.  Maximal diversity for p-variables
-    # holds automatically — they sit in no e_ij edge, so they keep
-    # singleton classes and therefore unique values.
-    term_values: Dict[str, int] = {}
-    for value, members in enumerate(classes):
-        for name in members:
-            term_values[name] = value
-    domain_size = max(len(classes), 1)
+    def interpretation(
+        self, assignment: Dict[str, Optional[bool]]
+    ) -> Tuple[Interpretation, List[List[str]]]:
+        """Synthesize a concrete EUFM interpretation from a named
+        assignment; also returns the term-variable equivalence classes
+        (transitivity closure of the true ``e_ij`` edges)."""
+        union = _UnionFind(self.names)
+        for a, b, eij_name in self.edges:
+            if assignment.get(eij_name) is True:
+                union.union(a, b)
+        classes = union.classes()
+        # One distinct domain value per class: value equality coincides
+        # with the model's equality relation.  Maximal diversity for
+        # p-variables holds automatically — they sit in no e_ij edge, so
+        # they keep singleton classes and therefore unique values.
+        term_values: Dict[str, int] = {}
+        for value, members in enumerate(classes):
+            for name in members:
+                term_values[name] = value
+        interp = Interpretation(
+            domain_size=max(len(classes), 1), term_values=term_values
+        )
 
-    interp = Interpretation(domain_size=domain_size, term_values=term_values)
+        # Original Boolean variables and the fresh vp! predicate variables.
+        for name, value in assignment.items():
+            if name.startswith("eij!") or value is None:
+                continue
+            interp.set_bool(name, value)
 
-    # Original Boolean variables and the fresh vp! predicate variables.
-    for name, value in assignment.items():
-        if name.startswith("eij!") or value is None:
-            continue
-        interp.set_bool(name, value)
-
-    # Function/predicate tables from the provenance of UF elimination.
-    # Provenance argument terms are in the post-elimination language
-    # (UF-free: variables and ITEs only), so they evaluate directly under
-    # the term values fixed above.  First occurrence wins, matching the
-    # nested-ITE chain ITE(args=args_1, vc_1, ...) of the encoding.
-    if encoded.uf_elim is not None:
-        prov = encoded.uf_elim.provenance
-        for fresh in encoded.uf_elim.fresh_term_vars:
-            symbol, args = prov[fresh]
-            arg_values = tuple(_evaluate(arg, interp) for arg in args)
-            if arg_values not in interp.uf_table(symbol):
-                interp.set_uf(symbol, arg_values, interp.term_value(fresh.name))
-        for fresh in encoded.uf_elim.fresh_bool_vars:
-            symbol, args = prov[fresh]
-            arg_values = tuple(_evaluate(arg, interp) for arg in args)
-            if arg_values not in interp.up_table(symbol):
-                value = assignment.get(fresh.name)
+        # Function/predicate tables from the provenance rows.  First
+        # occurrence wins, matching the nested-ITE chain
+        # ITE(args=args_1, vc_1, ...) of the encoding.
+        values = self.args.values(interp)
+        self.nodes_evaluated += len(self.args.nodes)
+        pinned: Set[Tuple[str, Tuple]] = set()
+        for fresh, symbol, args in self.uf_rows:
+            key = (symbol, tuple(values[arg] for arg in args))
+            if key not in pinned:
+                pinned.add(key)
+                interp.set_uf(symbol, key[1], interp.term_value(fresh))
+        pinned.clear()
+        for fresh, symbol, args in self.up_rows:
+            key = (symbol, tuple(values[arg] for arg in args))
+            if key not in pinned:
+                pinned.add(key)
+                value = assignment.get(fresh)
                 if value is None:
-                    value = interp.bool_value(fresh.name)
-                interp.set_up(symbol, arg_values, value)
-    return interp, classes
+                    value = interp.bool_value(fresh)
+                interp.set_up(symbol, key[1], value)
+        return interp, classes
 
+    def values(self, interp: Interpretation) -> Dict[Expr, object]:
+        """Every node value of the memory-free formula under ``interp``."""
+        self.replays += 1
+        self.nodes_evaluated += len(self.formula.nodes)
+        return self.formula.values(interp)
 
-def _evaluate(root: Expr, interp: Interpretation):
-    """Evaluate ``root`` and memoize per-node values (shared DAG walk)."""
-    memory_sorted = infer_memory_sorts(root)
-    values: Dict[Expr, object] = {}
-    for node in iter_dag(root):
-        values[node] = _eval_node(node, values, interp, memory_sorted)
-    return values[root]
-
-
-def _evaluate_with_values(
-    root: Expr, interp: Interpretation
-) -> Tuple[object, Dict[Expr, object]]:
-    memory_sorted = infer_memory_sorts(root)
-    values: Dict[Expr, object] = {}
-    for node in iter_dag(root):
-        values[node] = _eval_node(node, values, interp, memory_sorted)
-    return values[root], values
+    def replay(self, assignment: Dict[str, Optional[bool]]) -> bool:
+        """Value of the memory-free formula under ``assignment``."""
+        interp, _ = self.interpretation(assignment)
+        value = self.values(interp)[self.formula.roots[0]]
+        if not isinstance(value, bool):  # pragma: no cover - formula root
+            raise WitnessError("replay target did not evaluate to a Boolean")
+        return value
 
 
 def replay_assignment(
@@ -308,15 +315,11 @@ def replay_assignment(
     assignment and evaluates; a counterexample is genuine exactly when
     this returns ``False``.
     """
-    interp, _ = build_interpretation(encoded, assignment)
-    value = _evaluate(encoded.memory_free, interp)
-    if not isinstance(value, bool):  # pragma: no cover - formula root
-        raise WitnessError("replay target did not evaluate to a Boolean")
-    return value
+    return _Replay(encoded).replay(assignment)
 
 
 def _minimize(
-    encoded: EncodedValidity, assignment: Dict[str, Optional[bool]]
+    replay: _Replay, assignment: Dict[str, Optional[bool]]
 ) -> Dict[str, bool]:
     """Greedy don't-care elimination: drop a variable when the formula
     still replays false under *both* of its values (other variables held
@@ -332,7 +335,7 @@ def _minimize(
         for candidate in (True, False):
             trial = dict(current)
             trial[name] = candidate
-            if replay_assignment(encoded, trial):
+            if replay.replay(trial):
                 still_false = False
                 break
         if not still_false:
@@ -341,7 +344,7 @@ def _minimize(
 
 
 def _find_disagreements(
-    encoded: EncodedValidity, interp: Interpretation
+    encoded: EncodedValidity, values: Dict[Expr, object]
 ) -> List[str]:
     """Positively-occurring equations the interpretation falsifies.
 
@@ -351,7 +354,6 @@ def _find_disagreements(
     """
     if encoded.polarity is None:
         return []
-    _, values = _evaluate_with_values(encoded.memory_free, interp)
     found: List[str] = []
     seen: Set[Expr] = set()
     for node, mask in encoded.polarity.polarity.items():
@@ -384,7 +386,8 @@ def reconstruct_counterexample(
     tracer = current_tracer()
     current_deadline().check("witness")
     with tracer.span("witness.reconstruct"):
-        interp, classes = build_interpretation(encoded, assignment)
+        replay = _Replay(encoded)
+        interp, classes = replay.interpretation(assignment)
         uf_tables = {}
         up_tables = {}
         if encoded.uf_elim is not None:
@@ -396,14 +399,12 @@ def reconstruct_counterexample(
                 ptable = interp.up_table(symbol)
                 if ptable:
                     up_tables[symbol] = sorted(ptable.items())
-        replay_value = _evaluate(encoded.memory_free, interp)
+        values = replay.values(interp)
+        replay_value = values[encoded.memory_free]
         cex = TermCounterexample(
             raw_assignment=dict(assignment),
             classes=classes,
-            term_values={
-                var.name: interp.term_value(var.name)
-                for var in _term_universe(encoded)
-            },
+            term_values={name: interp.term_value(name) for name in replay.names},
             bool_values={
                 name: value
                 for name, value in assignment.items()
@@ -422,14 +423,15 @@ def reconstruct_counterexample(
         )
 
     with tracer.span("witness.diagnose"):
-        cex.disagreements = _find_disagreements(encoded, interp)
+        cex.disagreements = _find_disagreements(encoded, values)
 
     if minimize and replay_value is False:
         with tracer.span("witness.minimize") as span:
-            cex.minimized = _minimize(encoded, assignment)
-            cex.minimized_replay_value = replay_assignment(
-                encoded, dict(cex.minimized)
-            )
+            replays, nodes = replay.replays, replay.nodes_evaluated
+            cex.minimized = _minimize(replay, assignment)
+            cex.minimized_replay_value = replay.replay(dict(cex.minimized))
+            span.add("witness.minimize_replays", replay.replays - replays)
+            span.add("witness.replay_nodes", replay.nodes_evaluated - nodes)
             span.add("witness.raw_vars", cex.raw_size)
             span.add("witness.minimized_vars", cex.minimized_size)
             span.add(

@@ -115,3 +115,45 @@ class TestCertifyResult:
         )
         child_names = {span.name for span in witness_span.children}
         assert "witness.check_proof" in child_names
+
+
+class TestCertificationCounters:
+    """Deterministic counters that say which half of certification cost
+    the time.  A checker that re-propagated the root for every proof step,
+    or a replay that walked the formula DAG once per argument term, would
+    show here as a jump."""
+
+    def _span(self, result, name):
+        span = result.trace.find(name)
+        assert span is not None, name
+        return span.counters
+
+    def test_proof_check_counters(self):
+        # pc-single-increment is no bug at issue width 1 (PC + 1 = PC + k),
+        # so this run is PROVED and certified by a DRUP proof.
+        result = verify(
+            ProcessorConfig(n_rob=2, issue_width=1),
+            method="positive_equality",
+            bug=Bug("pc-single-increment"),
+            certify=True,
+            trace=True,
+        )
+        counters = self._span(result, "witness.check_proof")
+        assert counters["witness.proof_steps"] == 441
+        assert counters["witness.proof_ok"] == 1
+        assert counters["witness.rup_assignments"] == 27867
+
+    def test_minimize_counters(self):
+        result = verify(
+            ProcessorConfig(n_rob=2, issue_width=2),
+            method="positive_equality",
+            bug=Bug("pc-single-increment"),
+            certify=True,
+            trace=True,
+        )
+        assert result.witness.validated
+        counters = self._span(result, "witness.minimize")
+        assert counters["witness.raw_vars"] == 95
+        assert counters["witness.minimized_vars"] == 4
+        assert counters["witness.minimize_replays"] == 191
+        assert counters["witness.replay_nodes"] == 116319
